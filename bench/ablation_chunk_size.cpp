@@ -4,6 +4,7 @@
 // per-chunk merge.
 #include "bench_common.h"
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 
 using namespace kiwi;
 
@@ -34,14 +35,14 @@ int main(int argc, char** argv) {
     const harness::RoleResult& role = result.Role("mixed");
     auto& kiwi_map =
         static_cast<api::MapAdapter<core::KiWiMap>&>(*map).Underlying();
-    const core::KiWiStats stats = kiwi_map.Stats();
+    const obs::OpCounters stats = kiwi_map.DebugReport().counters;
     harness::EmitCsv("ablation_chunk_size", "mixed",
                      static_cast<double>(capacity), role.KeysPerSec() / 1e6,
                      "Mkeys/s");
     harness::Note("  capacity=" + std::to_string(capacity) + " -> " +
                   harness::FormatMps(role.KeysPerSec()) + ", rebalances=" +
                   std::to_string(stats.rebalances) + ", chunks=" +
-                  std::to_string(kiwi_map.ChunkCount()));
+                  std::to_string(kiwi_map.Census().chunks));
   }
   return 0;
 }

@@ -1,12 +1,10 @@
-// Ablation: KiWi design-choice toggles.
-//  * put piggybacking on rebalance (implemented; the paper's own evaluation
-//    leaves it off and restarts puts, §6.1) — measures what it buys under
-//    rebalance-heavy load;
-//  * engagement width (merge aggressiveness) — 1 disables merging
-//    (trigger-chunk-only rebalance, the strawman §3.3.1 argues against)
-//    and is expected to leave more, sparser chunks behind.
+// Ablation: rebalance engagement width (merge aggressiveness) under a
+// rebalance-heavy put load.  Width 1 disables merging (trigger-chunk-only
+// rebalance, the strawman §3.3.1 argues against) and is expected to leave
+// more, sparser chunks behind.
 #include "bench_common.h"
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 
 using namespace kiwi;
 
@@ -23,14 +21,13 @@ void RunConfig(const bench::BenchConfig& config, const std::string& label,
   const harness::RunResult result = harness::RunWorkload(*map, roles, options);
   auto& kiwi_map =
       static_cast<api::MapAdapter<core::KiWiMap>&>(*map).Underlying();
-  const core::KiWiStats stats = kiwi_map.Stats();
+  const obs::OpCounters stats = kiwi_map.DebugReport().counters;
   const double put_mops = result.Role("put").OpsPerSec() / 1e6;
   harness::EmitCsv("ablation_features", label, 0, put_mops, "Mops/s");
   harness::Note("  " + label + ": put=" + harness::FormatMps(put_mops * 1e6) +
                 " rebalances=" + std::to_string(stats.rebalances) +
                 " restarts=" + std::to_string(stats.put_restarts) +
-                " piggybacked=" + std::to_string(stats.puts_piggybacked) +
-                " chunks=" + std::to_string(kiwi_map.ChunkCount()));
+                " chunks=" + std::to_string(kiwi_map.Census().chunks));
 }
 
 }  // namespace
@@ -41,16 +38,6 @@ int main(int argc, char** argv) {
 
   core::KiWiConfig base;
   base.chunk_capacity = 256;  // rebalance-heavy regime
-
-  harness::Note("put piggybacking (off = paper's evaluated configuration)");
-  {
-    core::KiWiConfig off = base;
-    off.enable_put_piggyback = false;
-    RunConfig(config, "piggyback_off", off);
-    core::KiWiConfig on = base;
-    on.enable_put_piggyback = true;
-    RunConfig(config, "piggyback_on", on);
-  }
 
   harness::Note("rebalance engagement width (1 = no merging)");
   for (const std::uint32_t width : {1u, 2u, 8u}) {

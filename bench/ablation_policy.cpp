@@ -27,7 +27,7 @@ void RunOne(const bench::BenchConfig& config, double probability,
   const harness::RunResult result = harness::RunWorkload(*map, roles, options);
   auto& kiwi_map =
       static_cast<api::MapAdapter<core::KiWiMap>&>(*map).Underlying();
-  const core::KiWiStats stats = kiwi_map.Stats();
+  const obs::OpCounters stats = kiwi_map.DebugReport().counters;
   const double put_mops = result.Role("put").OpsPerSec() / 1e6;
   const double scan_mkeys = result.Role("scan").KeysPerSec() / 1e6;
   char label[64];

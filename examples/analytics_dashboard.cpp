@@ -20,6 +20,7 @@
 
 #include "common/random.h"
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 
 using kiwi::Key;
 using kiwi::Value;
@@ -129,7 +130,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ingested.load()),
               static_cast<unsigned long long>(reports.load()),
               static_cast<unsigned long long>(max_observed_deviation.load()));
-  std::printf("map: %zu keys in %zu chunks, %zu bytes\n", map.Size(),
-              map.ChunkCount(), map.MemoryFootprint());
+  std::printf("map: %zu keys in %llu chunks, %zu bytes\n", map.Size(),
+              static_cast<unsigned long long>(map.Census().chunks),
+              map.MemoryFootprint());
   return 0;
 }

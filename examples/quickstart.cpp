@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 
 using kiwi::Key;
 using kiwi::Value;
@@ -69,10 +70,11 @@ int main() {
               checked);
 
   // --- introspection -------------------------------------------------------
-  const kiwi::core::KiWiStats stats = map.Stats();
-  std::printf("size=%zu chunks=%zu rebalances=%llu footprint=%zu bytes\n",
-              map.Size(), map.ChunkCount(),
-              static_cast<unsigned long long>(stats.rebalances),
+  std::printf("size=%zu chunks=%llu rebalances=%llu footprint=%zu bytes\n",
+              map.Size(),
+              static_cast<unsigned long long>(map.Census().chunks),
+              static_cast<unsigned long long>(
+                  map.DebugReport().counters.rebalances),
               map.MemoryFootprint());
   return 0;
 }

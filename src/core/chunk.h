@@ -221,20 +221,14 @@ class alignas(kCacheLineSize) ChunkT {
   /// against one chunk build the probe once and reuse it.
   std::int32_t BatchedPredecessorProbe(const Probe& probe) const;
 
-  /// Walk the list for the cell with exactly {key, version}.  On miss,
+  /// Walk the list for the cell with exactly {key, version}, starting at
+  /// cell `start`: a linked cell with key strictly below `key`, or kNullIdx
+  /// to start from the batched prefix (BatchedPredecessor).  On miss,
   /// reports the insertion point: *pred is the cell after which {key,
   /// version} belongs and *succ the cell that currently follows it (the
   /// exact expected value for the linking CAS; kNullIdx at the tail).
-  /// Returns kNullIdx on miss, the cell index on hit.
-  std::int32_t FindCell(KeyView key, Version version, std::int32_t* pred,
-                        std::int32_t* succ) const {
-    return FindCellFrom(kNullIdx, key, version, pred, succ);
-  }
-
-  /// FindCell starting the walk at cell `start` instead of the batched
-  /// prefix.  `start` must be a linked cell with key strictly below `key`
-  /// (or kNullIdx to fall back to BatchedPredecessor).  PutBatch threads
-  /// the previous insertion's predecessor through here: batch keys ascend,
+  /// Returns kNullIdx on miss, the cell index on hit.  PutBatch threads the
+  /// previous insertion's predecessor through `start`: batch keys ascend,
   /// so the insertion point only ever moves forward along the list.
   std::int32_t FindCellFrom(std::int32_t start, KeyView key, Version version,
                             std::int32_t* pred, std::int32_t* succ) const;

@@ -57,20 +57,6 @@ struct MetricsPumpOptions;
 
 namespace kiwi::core {
 
-/// Operational counters, exposed for tests, benches and curiosity.  A
-/// digest of the per-thread obs::StatsRegistry (see src/obs/) kept for API
-/// stability; new code should prefer DebugReport() / Observability().
-/// All fields read zero in a KIWI_STATS=OFF build.
-struct KiWiStats {
-  std::uint64_t rebalances = 0;        // rebalance executions (incl. helpers)
-  std::uint64_t rebalance_wins = 0;    // replace-stage CAS wins
-  std::uint64_t put_restarts = 0;      // puts restarted by rebalance
-  std::uint64_t chunks_created = 0;
-  std::uint64_t chunks_retired = 0;
-  std::uint64_t puts_piggybacked = 0;  // puts completed inside a rebalance
-  std::uint64_t puts_helped = 0;       // version installed by a scan/get
-};
-
 template <typename Layout>
 class KiWiMapT {
  public:
@@ -151,9 +137,18 @@ class KiWiMapT {
   /// number of gets and range reads (an extension the paper's design makes
   /// natural — a snapshot IS a pinned PSA entry).  All queries through one
   /// Snapshot observe the same linearization point; writers proceed
-  /// unimpeded but their updates are invisible to the view.  The pinned
-  /// version blocks compaction of data the view may still need, so keep
-  /// snapshots shorter than, say, minutes under heavy overwrite load.
+  /// unimpeded but their updates are invisible to the view.
+  ///
+  /// Retention bound: the pinned version blocks compaction of every newer
+  /// version, so each overwrite of a key that follows a global-version bump
+  /// (any scan or snapshot open) stays until the view closes, and one key's
+  /// versions never split across chunks.  Once a key's retained versions
+  /// approach chunk_capacity, its chunk rebuilds full: Put to it stops
+  /// returning and PutBatch can abort ("one key's version run exceeds a
+  /// whole chunk").  With the default config, 100 keys, one open Snapshot
+  /// and Put(5, i) alternating with Scan(1, 10), the put hangs at i = 924.
+  /// Keep scan-separated overwrites of any one key during a view's life
+  /// well below chunk_capacity (docs/TESTING.md has both repros).
   ///
   /// Thread safety: a Snapshot must be created and destroyed by the same
   /// thread and used only by it; each thread may hold up to
@@ -194,13 +189,6 @@ class KiWiMapT {
   /// Approximate bytes held by chunks + index (Figure 5 metric).
   std::size_t MemoryFootprint();
 
-  /// Number of chunks currently in the list (incl. sentinel).  O(#chunks).
-  std::size_t ChunkCount();
-
-  /// Snapshot of operational counters (sums over threads; approximate
-  /// under concurrency).
-  KiWiStats Stats() const;
-
   /// Full observability snapshot: counters, latency histograms and
   /// structural-health gauges, renderable as text or one-line JSON.  See
   /// docs/OBSERVABILITY.md.  Concurrent callers get a consistent-enough
@@ -208,11 +196,12 @@ class KiWiMapT {
   obs::DebugReport DebugReport();
 
   /// Chunk-health census: one O(chunks) epoch-guarded walk of the list,
-  /// reporting per-chunk fill factor, sorted-prefix vs linked-suffix ratio,
-  /// arena fill (byte layouts), pending-rebalance state and age, aggregated
-  /// into distribution histograms.  Live regardless of KIWI_STATS (like the
-  /// gauges).  Defined in obs/census.cpp so core objects carry no obs
-  /// references.
+  /// reporting chunk and cell counts, per-chunk fill factor, sorted-prefix
+  /// vs linked-suffix ratio, arena fill (byte layouts), pending-rebalance
+  /// state and age, as means and distribution histograms.  The one
+  /// structural report: DebugReport's structure gauges come from it.  Live
+  /// regardless of KIWI_STATS (like the gauges).  Defined in
+  /// obs/census.cpp so core objects carry no obs references.
   obs::ChunkCensus Census();
 
   /// Start the continuous-telemetry pump: a background thread snapshotting
@@ -235,17 +224,6 @@ class KiWiMapT {
   /// custom exporters).  Absent in KIWI_STATS=OFF builds.
   obs::StatsRegistry& Observability() const { return obs_; }
 #endif
-
-  /// Structural report over the current chunk list (quiescent callers get
-  /// exact numbers; concurrent callers a consistent-enough estimate).
-  struct StructureReport {
-    std::size_t data_chunks = 0;
-    std::size_t allocated_cells = 0;   // cells handed out across chunks
-    std::size_t batched_cells = 0;     // cells in sorted prefixes
-    double avg_fill = 0;               // allocated / capacity, averaged
-    double avg_batched_ratio = 0;      // batched / allocated, averaged
-  };
-  StructureReport Report();
 
   const KiWiConfig& Config() const { return policy_.config(); }
 
@@ -282,19 +260,31 @@ class KiWiMapT {
   /// Shared body of Put and Remove (a remove is a put of the tombstone).
   void PutImpl(KeyView key, ValueView value);
 
+  /// The one install path of Put and PutBatch's per-op runs, after the
+  /// cell `i` and value slot `j` (byte layouts: arena bytes at `key_off`)
+  /// are claimed: fill them with `entry`'s {key, value}; re-read the chunk
+  /// status (seq_cst) and stop if it froze; publish the cell in this
+  /// thread's PPA slot; take or adopt a version; link the cell, searching
+  /// from `*hint` (kNullIdx: the batched prefix) and leaving the insertion
+  /// predecessor there; release the slot.  Returns false, with nothing
+  /// linked, when the chunk froze first: the caller must rebalance or
+  /// re-locate.  `traced` records the PPA publish in the flight recorder.
+  bool InstallEntry(Chunk* chunk, std::size_t slot, std::uint32_t i,
+                    std::uint32_t j, std::uint32_t key_off, const Item& entry,
+                    std::int32_t* hint, bool traced);
+
   /// Shared body of the bounded/unbounded scans.  `to_key` == nullptr
   /// means "no upper bound" (ScanFrom); the PSA publication covers the
   /// layout's whole upper prefix domain in that case.
   std::size_t ScanImpl(KeyView from_key, const KeyView* to_key,
                        const std::function<void(KeyView, ValueView)>& yield);
 
-  /// PutBatch's amortized per-op path: install a sorted run of distinct
-  /// keys (all covered by `chunk`) through the normal PPA protocol, but
-  /// with the cell/value-slot claims batched into two fetch-adds and the
-  /// intra-chunk insertion point carried forward between keys.  Returns
-  /// how many leading entries were installed; fewer than run.size() means
-  /// the chunk filled or froze mid-run and the caller must re-locate.
-  /// Items carry {key, value} views only (version/val_ptr ignored).
+  /// PutBatch's amortized per-op path: claim cells and value slots for a
+  /// sorted run of distinct keys (all covered by `chunk`) in two
+  /// fetch-adds, then InstallEntry each key, carrying the insertion point
+  /// forward.  Returns how many leading entries were installed; fewer than
+  /// run.size() means the chunk filled or froze mid-run and the caller
+  /// must re-locate.  Items carry {key, value} views only.
   std::size_t PutRunPerOp(Chunk* chunk, std::span<const Item> run,
                           std::size_t slot);
 
@@ -309,25 +299,28 @@ class KiWiMapT {
   /// Must be called under an EBR guard.
   Chunk* LocateChunk(KeyView key) const;
 
-  /// Paper's checkRebalance (Algorithm 3).  Returns true if the put must be
-  /// restarted or was completed; *put_done reports completion (piggyback).
-  bool CheckRebalance(Chunk* chunk, KeyView key, ValueView value,
-                      bool* put_done);
+  /// What CheckRebalance asks of a writer about to claim cells in a chunk.
+  enum class Trigger {
+    kNone,       // write into the chunk
+    kInfant,     // the chunk was an infant, now normalized: re-locate
+    kRebalance,  // the chunk is frozen, full or picked by the policy
+  };
 
-  /// Paper's rebalance (Algorithm 4 stages 1-5 + normalize).  Returns true
-  /// iff this call's (key, value) was inserted by the rebalance.  Thin
-  /// wrapper over the span form; the piggyback config gate lives here.
-  bool Rebalance(Chunk* chunk, KeyView key, ValueView value, bool has_put);
+  /// Paper's checkRebalance (Algorithm 3), the one trigger check of Put
+  /// and PutBatch, run before claiming cells for the next entry (key,
+  /// value).  "Full" covers the cell and value arrays and, for byte
+  /// layouts, arena room for that entry.
+  Trigger CheckRebalance(Chunk* chunk, KeyView key, ValueView value);
 
-  /// Span form: runs the full rebalance of `chunk`'s sector and merges
-  /// `puts` (sorted by key, distinct keys; only {key, value} views are
-  /// read) into the replacement section during the build stage.  Returns
-  /// the number of entries installed — every put covered by the sector
-  /// when our built section won consensus, 0 otherwise (the caller
-  /// re-locates and retries; each loss implies another thread's section
-  /// was spliced, so retries are lock-free).  Entries linearize at the
-  /// splice CAS with the GV current at build time, exactly like the
-  /// single-put piggyback.
+  /// Paper's rebalance (Algorithm 4 stages 1-5 + normalize) of `chunk`'s
+  /// sector, merging `puts` (sorted by key, distinct keys; only {key,
+  /// value} views are read) into the replacement section during the build
+  /// stage.  Returns the number of entries installed — every put covered
+  /// by the sector when our built section won consensus, 0 otherwise (the
+  /// caller re-locates and retries; each loss implies another thread's
+  /// section was spliced, so retries are lock-free).  Entries linearize at
+  /// the splice CAS with the GV current at build time.  Put, compaction
+  /// and helpers pass no puts; PutBatch's bulk path passes its run.
   std::size_t Rebalance(Chunk* chunk, std::span<const Item> puts);
 
   /// Stage 1: agree on the engaged set; returns the rebalance object and

@@ -212,6 +212,7 @@ void KiWiMapT<Layout>::PutImpl(KeyView key, ValueView value) {
   const std::size_t slot = ThreadRegistry::CurrentSlot();
   const bool traced = KIWI_TRACE_SAMPLED(kPutOp, Layout::TraceKey(key),
                                          Layout::TraceValue(value));
+  const Item entry{key, kNoVersion, 0, value};
 
   while (true) {
     reclaim::EbrGuard guard(ebr_);
@@ -219,15 +220,18 @@ void KiWiMapT<Layout>::PutImpl(KeyView key, ValueView value) {
     KIWI_ASSERT(chunk->status.load(std::memory_order_acquire) !=
                     Chunk::Status::kSentinel,
                 "user key resolved to the sentinel chunk");
-
-    // -- phase 0: maintenance check (Algorithm 3), before allocating so
-    //    that infants never fill up.
-    bool put_done = false;
-    if (CheckRebalance(chunk, key, value, &put_done)) {
-      if (put_done) return;
+    const auto restart = [&] {
       KIWI_OBS_INC(obs_, put_restarts);
       KIWI_TRACE(kPutRestart, Layout::TraceKey(key),
                  reinterpret_cast<std::uintptr_t>(chunk));
+    };
+
+    // -- phase 0: maintenance check (Algorithm 3), before allocating so
+    //    that infants never fill up.  A rebalanced put restarts (§6.1).
+    const Trigger trigger = CheckRebalance(chunk, key, value);
+    if (trigger != Trigger::kNone) {
+      if (trigger == Trigger::kRebalance) Rebalance(chunk, {});
+      restart();
       continue;
     }
 
@@ -240,7 +244,7 @@ void KiWiMapT<Layout>::PutImpl(KeyView key, ValueView value) {
     const std::uint32_t i =
         chunk->k_counter.fetch_add(1, std::memory_order_seq_cst);
     bool overflow = j >= chunk->capacity || i > chunk->capacity;
-    [[maybe_unused]] std::uint32_t key_off = 0;
+    std::uint32_t key_off = 0;
     if constexpr (Layout::kHasArena) {
       if (!overflow) {
         const std::uint32_t need = static_cast<std::uint32_t>(
@@ -250,122 +254,128 @@ void KiWiMapT<Layout>::PutImpl(KeyView key, ValueView value) {
     }
     if (overflow) {
       KIWI_OBS_INC(obs_, cell_alloc_overflows);
-      if (Rebalance(chunk, key, value, /*has_put=*/true)) {
-        KIWI_OBS_INC(obs_, puts_piggybacked);
-        KIWI_TRACE(kPutPiggyback, Layout::TraceKey(key),
-                   reinterpret_cast<std::uintptr_t>(chunk));
-        return;
-      }
-      KIWI_OBS_INC(obs_, put_restarts);
-      KIWI_TRACE(kPutRestart, Layout::TraceKey(key),
-                 reinterpret_cast<std::uintptr_t>(chunk));
+      Rebalance(chunk, {});
+      restart();
       continue;
     }
-    typename Chunk::Cell& cell = chunk->k[i];
-    if constexpr (Layout::kHasArena) {
-      // Copy the bytes before the PPA publish below: its seq_cst CAS is the
-      // release point that makes them visible to helpers and readers.
-      std::memcpy(chunk->a + key_off, key.data(), key.size());
-      const std::uint32_t val_off =
-          key_off + static_cast<std::uint32_t>(key.size());
-      if (Layout::IsTombstone(value)) {
-        chunk->v[j] = typename Layout::StoredValue{0, Layout::kTombstoneLen};
-      } else {
-        std::memcpy(chunk->a + val_off, value.data(), value.size());
-        chunk->v[j] = typename Layout::StoredValue{
-            val_off, static_cast<std::uint32_t>(value.size())};
-      }
-      cell.key = typename Layout::CellKey{
-          Layout::MakePrefix(key), key_off,
-          static_cast<std::uint32_t>(key.size())};
-    } else {
-      chunk->v[j] = value;
-      cell.key = key;
-    }
-    cell.version = kNoVersion;
-    cell.val_ptr.store(static_cast<std::int32_t>(j),
-                       std::memory_order_relaxed);
-    cell.next.store(Chunk::kNullIdx, std::memory_order_relaxed);
 
-    // -- phase 2: publish in the PPA, then acquire a version.  The publish
-    //    is a CAS from the idle word so it fails if the chunk froze after
-    //    phase 0 (paper line 14).
-    std::uint64_t expected = Chunk::kPpaIdle;
-    if (!chunk->ppa[slot].compare_exchange_strong(
-            expected, Chunk::PackPpa(Chunk::kPpaVerBottom, i),
-            std::memory_order_seq_cst)) {
-      KIWI_OBS_INC(obs_, ppa_publish_fails);
-      if (Rebalance(chunk, key, value, /*has_put=*/true)) {
-        KIWI_OBS_INC(obs_, puts_piggybacked);
-        KIWI_TRACE(kPutPiggyback, Layout::TraceKey(key),
-                   reinterpret_cast<std::uintptr_t>(chunk));
-        return;
-      }
-      KIWI_OBS_INC(obs_, put_restarts);
-      KIWI_TRACE(kPutRestart, Layout::TraceKey(key),
-                 reinterpret_cast<std::uintptr_t>(chunk));
-      continue;
+    // -- phases 2-3: publish, version, link.  False means the chunk froze
+    //    after phase 0: help its rebalance along, then restart.
+    std::int32_t hint = Chunk::kNullIdx;
+    if (InstallEntry(chunk, slot, i, j, key_off, entry, &hint, traced)) {
+      return;
     }
-    if (traced) KIWI_TRACE(kPutPpaPublish, Layout::TraceKey(key), i);
-    TestHooks::Run(TestHooks::put_before_version_cas);
-    const Version gv = gv_.Load();
-    std::uint64_t published = Chunk::PackPpa(Chunk::kPpaVerBottom, i);
-    const bool own_cas = chunk->ppa[slot].compare_exchange_strong(
-        published, Chunk::PackPpa(gv, i), std::memory_order_seq_cst);
-    // Whether our CAS, a helper's, or the freezer won, the entry is
-    // authoritative (paper line 16).
-    const Version version =
-        Chunk::PpaVer(chunk->ppa[slot].load(std::memory_order_seq_cst));
-    if (!own_cas && version != Chunk::kPpaVerFrozen) {
-      KIWI_OBS_INC(obs_, puts_helped);  // a scan or get installed our version
-      KIWI_TRACE(kPutHelped, Layout::TraceKey(key), version);
-    }
-    if (version == Chunk::kPpaVerFrozen) {
-      // The chunk froze between our status check and version acquisition;
-      // the entry stays frozen (this chunk is dead) and the put restarts.
-      if (Rebalance(chunk, key, value, /*has_put=*/true)) {
-        KIWI_OBS_INC(obs_, puts_piggybacked);
-        KIWI_TRACE(kPutPiggyback, Layout::TraceKey(key),
-                   reinterpret_cast<std::uintptr_t>(chunk));
-        return;
-      }
-      KIWI_OBS_INC(obs_, put_restarts);
-      KIWI_TRACE(kPutRestart, Layout::TraceKey(key),
-                 reinterpret_cast<std::uintptr_t>(chunk));
-      continue;
-    }
-    cell.version = version;
-
-    // -- phase 3: link the cell into the intra-chunk list (paper 17-25).
-    while (true) {
-      std::int32_t pred;
-      std::int32_t succ;
-      const std::int32_t existing = chunk->FindCell(key, version, &pred, &succ);
-      if (existing == Chunk::kNullIdx) {
-        cell.next.store(succ, std::memory_order_relaxed);
-        std::int32_t expected_succ = succ;
-        if (chunk->k[pred].next.compare_exchange_strong(
-                expected_succ, static_cast<std::int32_t>(i),
-                std::memory_order_seq_cst)) {
-          break;
-        }
-        KIWI_OBS_INC(obs_, put_link_retries);
-        continue;  // list changed under us; re-find the insertion point
-      }
-      // Same {key, version} already linked: the larger value location wins
-      // (it fetched-and-added later).
-      const std::int32_t current =
-          chunk->k[existing].val_ptr.load(std::memory_order_acquire);
-      if (current >= static_cast<std::int32_t>(j)) break;  // we lost
-      std::int32_t expected_ptr = current;
-      chunk->k[existing].val_ptr.compare_exchange_strong(
-          expected_ptr, static_cast<std::int32_t>(j),
-          std::memory_order_seq_cst);
-    }
-
-    chunk->ppa[slot].store(Chunk::kPpaIdle, std::memory_order_seq_cst);
-    return;
+    Rebalance(chunk, {});
+    restart();
   }
+}
+
+template <typename Layout>
+bool KiWiMapT<Layout>::InstallEntry(Chunk* chunk, std::size_t slot,
+                                    std::uint32_t i, std::uint32_t j,
+                                    std::uint32_t key_off, const Item& entry,
+                                    std::int32_t* hint, bool traced) {
+  const KeyView key = entry.key;
+  const ValueView value = entry.value;
+  typename Chunk::Cell& cell = chunk->k[i];
+  if constexpr (Layout::kHasArena) {
+    // Copy the bytes before the PPA publish below: its seq_cst CAS is the
+    // release point that makes them visible to helpers and readers.
+    std::memcpy(chunk->a + key_off, key.data(), key.size());
+    const std::uint32_t val_off =
+        key_off + static_cast<std::uint32_t>(key.size());
+    if (Layout::IsTombstone(value)) {
+      chunk->v[j] = typename Layout::StoredValue{0, Layout::kTombstoneLen};
+    } else {
+      std::memcpy(chunk->a + val_off, value.data(), value.size());
+      chunk->v[j] = typename Layout::StoredValue{
+          val_off, static_cast<std::uint32_t>(value.size())};
+    }
+    cell.key = typename Layout::CellKey{
+        Layout::MakePrefix(key), key_off,
+        static_cast<std::uint32_t>(key.size())};
+  } else {
+    chunk->v[j] = value;
+    cell.key = key;
+  }
+  cell.version = kNoVersion;
+  cell.val_ptr.store(static_cast<std::int32_t>(j), std::memory_order_relaxed);
+  cell.next.store(Chunk::kNullIdx, std::memory_order_relaxed);
+
+  // Re-read the status after this thread's last idle store to the slot.
+  // FreezePpa freezes only unversioned words, so a freeze that found the
+  // slot holding this thread's previous entry in this chunk left it
+  // unfrozen; once that entry stored idle, a publish from idle would
+  // succeed in the frozen chunk and link after the rebalance harvested it
+  // (a lost update).  Seq_cst orders this load against the freezer's status
+  // store: either we see kFrozen here, or FreezePpa reads the slot after
+  // our last idle store and the publish CAS below races it as usual.
+  if (chunk->status.load(std::memory_order_seq_cst) ==
+      Chunk::Status::kFrozen) {
+    return false;
+  }
+
+  // Publish in the PPA, then acquire a version.  The publish is a CAS from
+  // the idle word so it fails if the chunk froze meanwhile (paper line 14).
+  std::uint64_t expected = Chunk::kPpaIdle;
+  if (!chunk->ppa[slot].compare_exchange_strong(
+          expected, Chunk::PackPpa(Chunk::kPpaVerBottom, i),
+          std::memory_order_seq_cst)) {
+    KIWI_OBS_INC(obs_, ppa_publish_fails);
+    return false;
+  }
+  if (traced) KIWI_TRACE(kPutPpaPublish, Layout::TraceKey(key), i);
+  TestHooks::Run(TestHooks::put_before_version_cas);
+  const Version gv = gv_.Load();
+  std::uint64_t published = Chunk::PackPpa(Chunk::kPpaVerBottom, i);
+  const bool own_cas = chunk->ppa[slot].compare_exchange_strong(
+      published, Chunk::PackPpa(gv, i), std::memory_order_seq_cst);
+  // Whether our CAS, a helper's, or the freezer won, the entry is
+  // authoritative (paper line 16).  A frozen entry stays frozen: the chunk
+  // is dead and the caller retries elsewhere.
+  const Version version =
+      Chunk::PpaVer(chunk->ppa[slot].load(std::memory_order_seq_cst));
+  if (version == Chunk::kPpaVerFrozen) return false;
+  if (!own_cas) {
+    KIWI_OBS_INC(obs_, puts_helped);  // a scan or get installed our version
+    KIWI_TRACE(kPutHelped, Layout::TraceKey(key), version);
+  }
+  cell.version = version;
+
+  // Link the cell into the intra-chunk list (paper 17-25).
+  while (true) {
+    std::int32_t pred;
+    std::int32_t succ;
+    const std::int32_t existing =
+        chunk->FindCellFrom(*hint, key, version, &pred, &succ);
+    if (existing == Chunk::kNullIdx) {
+      cell.next.store(succ, std::memory_order_relaxed);
+      std::int32_t expected_succ = succ;
+      if (chunk->k[pred].next.compare_exchange_strong(
+              expected_succ, static_cast<std::int32_t>(i),
+              std::memory_order_seq_cst)) {
+        *hint = pred;
+        break;
+      }
+      KIWI_OBS_INC(obs_, put_link_retries);
+      continue;  // list changed under us; re-find the insertion point
+    }
+    // Same {key, version} already linked: the larger value location wins
+    // (it fetched-and-added later).
+    const std::int32_t current =
+        chunk->k[existing].val_ptr.load(std::memory_order_acquire);
+    if (current >= static_cast<std::int32_t>(j)) {
+      *hint = pred;
+      break;  // we lost
+    }
+    std::int32_t expected_ptr = current;
+    chunk->k[existing].val_ptr.compare_exchange_strong(
+        expected_ptr, static_cast<std::int32_t>(j),
+        std::memory_order_seq_cst);
+  }
+
+  chunk->ppa[slot].store(Chunk::kPpaIdle, std::memory_order_seq_cst);
+  return true;
 }
 
 template <typename Layout>
@@ -414,16 +424,9 @@ void KiWiMapT<Layout>::PutBatch(std::span<const Entry> entries) {
     KIWI_ASSERT(chunk->status.load(std::memory_order_acquire) !=
                     Chunk::Status::kSentinel,
                 "user key resolved to the sentinel chunk");
-
-    // Infant chunk: finish its parent's rebalance and retry (PutImpl's
-    // phase 0; the policy trigger is folded into the run dispatch below).
-    if (chunk->status.load(std::memory_order_acquire) ==
-        Chunk::Status::kInfant) {
-      RebalanceObject* ro = chunk->parent->ro.load(std::memory_order_acquire);
-      KIWI_ASSERT(ro != nullptr, "infant chunk without a parent rebalance");
-      Normalize(ro);
-      continue;
-    }
+    const Trigger trigger =
+        CheckRebalance(chunk, batch[done].key, batch[done].value);
+    if (trigger == Trigger::kInfant) continue;
 
     // The run this chunk covers: keys below the successor's minKey.  The
     // bound stays valid even if the successor is concurrently replaced —
@@ -439,27 +442,7 @@ void KiWiMapT<Layout>::PutBatch(std::span<const Entry> entries) {
     }
     const std::span<const Item> run(batch.data() + done, run_end - done);
 
-    const std::uint32_t allocated = chunk->AllocatedCells();
-    bool full =
-        chunk->k_counter.load(std::memory_order_acquire) > chunk->capacity ||
-        chunk->v_counter.load(std::memory_order_acquire) >= chunk->capacity;
-    if constexpr (Layout::kHasArena) {
-      // "Full" must also cover "the run's first entry no longer fits the
-      // remaining arena": PutRunPerOp would compute a zero-entry claim and
-      // return 0 without touching any chunk state, so retrying the per-op
-      // path can never make progress — only the rebalance dispatch below
-      // can.  (The single-key Put escapes the same situation through its
-      // ClaimArena-failure -> Rebalance route; this path has no such exit.)
-      const std::uint32_t arena_used =
-          chunk->arena_used.load(std::memory_order_acquire);
-      full = full || arena_used >= chunk->arena_capacity ||
-             chunk->arena_capacity - arena_used <
-                 Layout::EntryArenaBytes(batch[done].key, batch[done].value);
-    }
-    const bool frozen = chunk->status.load(std::memory_order_acquire) ==
-                        Chunk::Status::kFrozen;
-    if (run.size() >= bulk_min || full || frozen ||
-        policy_.ShouldTrigger(allocated, chunk->batched_count, ThreadRng())) {
+    if (trigger == Trigger::kRebalance || run.size() >= bulk_min) {
       // Bulk path: carry the run through the rebalance build, seeding the
       // replacement chunks' sorted prefixes straight from the batch — no
       // per-key PPA round trips.  0 means another thread's section won
@@ -478,7 +461,7 @@ void KiWiMapT<Layout>::PutBatch(std::span<const Entry> entries) {
       continue;
     }
 
-    // Short run: the per-key PPA protocol, with the two index claims
+    // Short run: Put's install path per key, with the two index claims
     // batched and the insertion point carried between keys.
     const std::size_t installed = PutRunPerOp(chunk, run, slot);
     if (installed > 0) {
@@ -547,92 +530,16 @@ std::size_t KiWiMapT<Layout>::PutRunPerOp(Chunk* chunk,
 
   // Keys ascend within the run, so each key's insertion point is at or
   // after the previous one's predecessor — thread it through as the next
-  // list search's starting point.
+  // list search's starting point.  A frozen chunk stops the run: entries
+  // [t, n) are not installed and the caller re-dispatches them.
   std::int32_t hint = Chunk::kNullIdx;
   for (std::uint32_t t = 0; t < n; ++t) {
-    const KeyView key = run[t].key;
-    const ValueView value = run[t].value;
-    const std::uint32_t j = j_base + t;
-    const std::uint32_t i = i_base + t;
-    typename Chunk::Cell& cell = chunk->k[i];
-    if constexpr (Layout::kHasArena) {
-      const std::uint32_t key_off = arena_base + offs[t];
-      std::memcpy(chunk->a + key_off, key.data(), key.size());
-      const std::uint32_t val_off =
-          key_off + static_cast<std::uint32_t>(key.size());
-      if (Layout::IsTombstone(value)) {
-        chunk->v[j] = typename Layout::StoredValue{0, Layout::kTombstoneLen};
-      } else {
-        std::memcpy(chunk->a + val_off, value.data(), value.size());
-        chunk->v[j] = typename Layout::StoredValue{
-            val_off, static_cast<std::uint32_t>(value.size())};
-      }
-      cell.key = typename Layout::CellKey{
-          Layout::MakePrefix(key), key_off,
-          static_cast<std::uint32_t>(key.size())};
-    } else {
-      chunk->v[j] = value;
-      cell.key = key;
-    }
-    cell.version = kNoVersion;
-    cell.val_ptr.store(static_cast<std::int32_t>(j),
-                       std::memory_order_relaxed);
-    cell.next.store(Chunk::kNullIdx, std::memory_order_relaxed);
-
-    // PutImpl's phases 2-3.  A failed publish or a frozen version means
-    // the chunk froze under us: entries [t, n) are not installed and the
-    // caller re-dispatches them after re-locating.
-    std::uint64_t expected = Chunk::kPpaIdle;
-    if (!chunk->ppa[slot].compare_exchange_strong(
-            expected, Chunk::PackPpa(Chunk::kPpaVerBottom, i),
-            std::memory_order_seq_cst)) {
+    std::uint32_t key_off = 0;
+    if constexpr (Layout::kHasArena) key_off = arena_base + offs[t];
+    if (!InstallEntry(chunk, slot, i_base + t, j_base + t, key_off, run[t],
+                      &hint, /*traced=*/false)) {
       return t;
     }
-    TestHooks::Run(TestHooks::put_before_version_cas);
-    const Version gv = gv_.Load();
-    std::uint64_t published = Chunk::PackPpa(Chunk::kPpaVerBottom, i);
-    const bool own_cas = chunk->ppa[slot].compare_exchange_strong(
-        published, Chunk::PackPpa(gv, i), std::memory_order_seq_cst);
-    const Version version =
-        Chunk::PpaVer(chunk->ppa[slot].load(std::memory_order_seq_cst));
-    if (!own_cas && version != Chunk::kPpaVerFrozen) {
-      KIWI_OBS_INC(obs_, puts_helped);
-      KIWI_TRACE(kPutHelped, Layout::TraceKey(key), version);
-    }
-    if (version == Chunk::kPpaVerFrozen) return t;
-    cell.version = version;
-
-    while (true) {
-      std::int32_t pred;
-      std::int32_t succ;
-      const std::int32_t existing =
-          chunk->FindCellFrom(hint, key, version, &pred, &succ);
-      if (existing == Chunk::kNullIdx) {
-        cell.next.store(succ, std::memory_order_relaxed);
-        std::int32_t expected_succ = succ;
-        if (chunk->k[pred].next.compare_exchange_strong(
-                expected_succ, static_cast<std::int32_t>(i),
-                std::memory_order_seq_cst)) {
-          hint = pred;
-          break;
-        }
-        KIWI_OBS_INC(obs_, put_link_retries);
-        continue;  // list changed under us; re-find the insertion point
-      }
-      // Same {key, version} already linked: the larger value location wins
-      // (it fetched-and-added later).
-      const std::int32_t current =
-          chunk->k[existing].val_ptr.load(std::memory_order_acquire);
-      if (current >= static_cast<std::int32_t>(j)) {
-        hint = pred;
-        break;  // we lost
-      }
-      std::int32_t expected_ptr = current;
-      chunk->k[existing].val_ptr.compare_exchange_strong(
-          expected_ptr, static_cast<std::int32_t>(j),
-          std::memory_order_seq_cst);
-    }
-    chunk->ppa[slot].store(Chunk::kPpaIdle, std::memory_order_seq_cst);
   }
   return n;
 }
@@ -934,53 +841,6 @@ std::size_t KiWiMapT<Layout>::MemoryFootprint() {
 }
 
 template <typename Layout>
-std::size_t KiWiMapT<Layout>::ChunkCount() {
-  reclaim::EbrGuard guard(ebr_);
-  std::size_t count = 0;
-  for (Chunk* c = sentinel_; c != nullptr; c = c->Next()) ++count;
-  return count;
-}
-
-template <typename Layout>
-typename KiWiMapT<Layout>::StructureReport KiWiMapT<Layout>::Report() {
-  reclaim::EbrGuard guard(ebr_);
-  StructureReport report;
-  double fill_sum = 0;
-  double batched_sum = 0;
-  for (Chunk* c = sentinel_->Next(); c != nullptr; c = c->Next()) {
-    const std::uint32_t allocated = c->AllocatedCells();
-    report.data_chunks++;
-    report.allocated_cells += allocated;
-    report.batched_cells += c->batched_count;
-    fill_sum += static_cast<double>(allocated) / c->capacity;
-    batched_sum += allocated > 0
-                       ? static_cast<double>(c->batched_count) / allocated
-                       : 1.0;
-  }
-  if (report.data_chunks > 0) {
-    report.avg_fill = fill_sum / report.data_chunks;
-    report.avg_batched_ratio = batched_sum / report.data_chunks;
-  }
-  return report;
-}
-
-template <typename Layout>
-KiWiStats KiWiMapT<Layout>::Stats() const {
-  KiWiStats total;
-#if KIWI_OBS_ENABLED
-  const obs::OpCounters counters = obs_.Aggregate();
-  total.rebalances = counters.rebalances;
-  total.rebalance_wins = counters.rebalance_wins;
-  total.put_restarts = counters.put_restarts;
-  total.chunks_created = counters.chunks_created;
-  total.chunks_retired = counters.chunks_retired;
-  total.puts_piggybacked = counters.puts_piggybacked;
-  total.puts_helped = counters.puts_helped;
-#endif
-  return total;
-}
-
-template <typename Layout>
 void KiWiMapT<Layout>::CompactAll() {
   // Quiescent helper: rebalance every data chunk once, forcing version
   // compaction and structure cleanup.
@@ -995,7 +855,7 @@ void KiWiMapT<Layout>::CompactAll() {
     reclaim::EbrGuard guard(ebr_);
     Chunk* c = LocateChunk(Layout::ViewKey(key));
     if (c->status.load(std::memory_order_acquire) == Chunk::Status::kNormal) {
-      Rebalance(c, KeyView{}, ValueView{}, /*has_put=*/false);
+      Rebalance(c, {});
     }
   }
 }

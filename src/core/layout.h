@@ -173,7 +173,10 @@ struct ByteLayout {
   }
 
   static constexpr CellKey SentinelCellKey() { return CellKey{}; }  // ""
-  static constexpr KeyView SentinelMinKey() { return KeyView(); }   // ""
+  // "" with a non-null data pointer: the sentinel chunk copies its min key
+  // into its arena, and memcpy from a null pointer is undefined even for
+  // zero bytes.
+  static constexpr KeyView SentinelMinKey() { return KeyView("", 0); }
   static constexpr KeyView MinUserKey() { return KeyView("\0", 1); }
   static bool IsUserKey(KeyView key) { return !key.empty(); }
 

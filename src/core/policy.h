@@ -34,15 +34,6 @@ struct KiWiConfig {
   double sparse_ratio = 0.25;
   /// Maximum chunks engaged by one rebalance (bounds the freeze window).
   std::uint32_t max_engaged_chunks = 8;
-  /// Insert the triggering put's pair during rebalance (paper §6.1 leaves
-  /// this off and restarts the put instead; both paths are implemented).
-  /// Does not gate PutBatch's bulk path, which always installs its run
-  /// through the rebalance build.
-  bool enable_put_piggyback = false;
-  /// PutBatch switches from the per-key PPA path to bulk chunk building
-  /// (rebalance-carried) once a chunk's covered run reaches this many
-  /// entries.  0 = auto: max(4, chunk_capacity / 8).
-  std::uint32_t batch_bulk_min_run = 0;
   /// Arena sizing for byte-layout maps (KiWiByteMap); ignored by the
   /// fixed-width int64 map.  See core/layout.h.
   ByteConfig bytes{};
@@ -81,12 +72,10 @@ class RebalancePolicy {
   }
 
   /// Minimum chunk-covered run length at which PutBatch bulk-builds
-  /// replacement chunks instead of inserting per key (see
-  /// KiWiConfig::batch_bulk_min_run).
+  /// replacement chunks instead of inserting per key: max(4, capacity / 8).
   std::uint32_t BulkRunThreshold() const {
-    if (config_.batch_bulk_min_run != 0) return config_.batch_bulk_min_run;
-    const std::uint32_t auto_threshold = config_.chunk_capacity / 8;
-    return auto_threshold < 4 ? 4 : auto_threshold;
+    const std::uint32_t threshold = config_.chunk_capacity / 8;
+    return threshold < 4 ? 4 : threshold;
   }
 
   const KiWiConfig& config() const { return config_; }

@@ -19,7 +19,8 @@
 //    `pred.next.parent = C` test, which misfires once replacement chunks are
 //    themselves replaced; and the replacement *section* is agreed through a
 //    CAS on `ro->replacement`, so helpers splice one agreed section rather
-//    than racing distinct clones (this also makes put piggybacking sound);
+//    than racing distinct clones (this also makes carrying PutBatch runs
+//    through the build sound);
 //  * a tombstone is dropped only when its version is at or below the minimal
 //    read point — the literal pseudocode can drop a value a pending scan
 //    still needs.
@@ -40,50 +41,36 @@
 namespace kiwi::core {
 
 template <typename Layout>
-bool KiWiMapT<Layout>::CheckRebalance(Chunk* chunk, KeyView key,
-                                      ValueView value, bool* put_done) {
-  *put_done = false;
-  if (chunk->status.load(std::memory_order_acquire) ==
-      Chunk::Status::kInfant) {
+auto KiWiMapT<Layout>::CheckRebalance(Chunk* chunk, KeyView key,
+                                      ValueView value) -> Trigger {
+  const typename Chunk::Status status =
+      chunk->status.load(std::memory_order_acquire);
+  if (status == Chunk::Status::kInfant) {
     // The chunk is not yet writable; finish its parent's rebalance (stages
-    // 6-7 only — reachability implies the replace stage completed) and
-    // restart the put.
+    // 6-7 only — reachability implies the replace stage completed).
     RebalanceObject* ro = chunk->parent->ro.load(std::memory_order_acquire);
     KIWI_ASSERT(ro != nullptr, "infant chunk without a parent rebalance");
     Normalize(ro);
-    return true;
+    return Trigger::kInfant;
   }
-  const std::uint32_t allocated = chunk->AllocatedCells();
   bool full =
       chunk->k_counter.load(std::memory_order_acquire) > chunk->capacity ||
       chunk->v_counter.load(std::memory_order_acquire) >= chunk->capacity;
   if constexpr (Layout::kHasArena) {
-    full = full || chunk->arena_used.load(std::memory_order_acquire) >=
-                       chunk->arena_capacity;
+    // The next entry must also fit the remaining arena.  Without this a
+    // writer would claim cells only to fail its arena claim, and
+    // PutRunPerOp would claim nothing and return 0, retrying forever.
+    const std::uint32_t used =
+        chunk->arena_used.load(std::memory_order_acquire);
+    full = full || used > chunk->arena_capacity ||
+           chunk->arena_capacity - used < Layout::EntryArenaBytes(key, value);
   }
-  const bool frozen = chunk->status.load(std::memory_order_acquire) ==
-                      Chunk::Status::kFrozen;
-  if (full || frozen ||
-      policy_.ShouldTrigger(allocated, chunk->batched_count, ThreadRng())) {
-    *put_done = Rebalance(chunk, key, value, /*has_put=*/true);
-    if (*put_done) KIWI_OBS_INC(obs_, puts_piggybacked);
-    return true;
+  if (full || status == Chunk::Status::kFrozen ||
+      policy_.ShouldTrigger(chunk->AllocatedCells(), chunk->batched_count,
+                            ThreadRng())) {
+    return Trigger::kRebalance;
   }
-  return false;
-}
-
-template <typename Layout>
-bool KiWiMapT<Layout>::Rebalance(Chunk* chunk, KeyView key, ValueView value,
-                                 bool has_put) {
-  // The piggyback gate lives here so that PutBatch's bulk path (the span
-  // form below) is always allowed to carry its run through the build.  The
-  // carried put travels as an Item so the value's tombstone identity (byte
-  // layouts tag tombstones by pointer, see Layout::IsTombstone) survives.
-  const Item item{key, kNoVersion, 0, value};
-  const bool piggyback = has_put && policy_.config().enable_put_piggyback;
-  const std::span<const Item> puts =
-      piggyback ? std::span<const Item>(&item, 1) : std::span<const Item>();
-  return Rebalance(chunk, puts) > 0;
+  return Trigger::kNone;
 }
 
 template <typename Layout>
@@ -674,7 +661,7 @@ bool KiWiMapT<Layout>::Replace(RebalanceObject* ro, Chunk* last, bool* i_won) {
     const MarkedPtr<Chunk> current = pred->next.Load();
     if (current.Ptr() == ro->first && current.Mark()) {
       KIWI_OBS_INC(obs_, splice_helps);
-      Rebalance(pred, KeyView{}, ValueView{}, /*has_put=*/false);
+      Rebalance(pred, {});
     }
     // Otherwise the list moved under us; loop to re-find the predecessor.
   }

@@ -21,6 +21,12 @@ using core::KiWiMap;
 
 namespace {
 
+/// Keys preloaded (bulk constructor) before every round: key k -> value k
+/// for k in [1, kPreloadKeys], capped at the keyspace.
+constexpr std::uint32_t kPreloadKeys = 8;
+/// Widest scan range drawn (inclusive key span).
+constexpr std::uint32_t kMaxScanSpan = 4;
+
 /// Globally unique written value: never 0, never the tombstone, and
 /// disjoint from the preload value space (plain key numbers).
 Value OpValue(std::uint32_t thread, std::uint32_t counter) {
@@ -188,7 +194,7 @@ void Worker(Driver& map, Recorder& recorder, const RoundParams& params,
       continue;
     } else {
       op.kind = FuzzOp::Kind::kScan;
-      const std::uint64_t span = 1 + rng.NextBounded(params.max_scan_span);
+      const std::uint64_t span = 1 + rng.NextBounded(kMaxScanSpan);
       op.to_key = std::min<Key>(key + static_cast<Key>(span) - 1,
                                 static_cast<Key>(params.keys));
       op.invoke = recorder.Clock().Tick();
@@ -242,7 +248,7 @@ RoundResult RunRound(const RoundParams& params) {
   result.schedule = schedule.Describe();
 
   std::vector<KiWiMap::Entry> preload;
-  for (std::uint32_t k = 1; k <= params.preload && k <= params.keys; ++k) {
+  for (std::uint32_t k = 1; k <= kPreloadKeys && k <= params.keys; ++k) {
     preload.emplace_back(static_cast<Key>(k), static_cast<Value>(k));
   }
 
@@ -274,13 +280,19 @@ RoundResult RunRound(const RoundParams& params) {
 
 namespace {
 
-/// True if `params` fails at least once within `retries` attempts.
+/// True when `params` fails in a majority of `retries` rounds.  "Any retry
+/// fails" let one lucky failure accept a shrink that rarely fails, and the
+/// greedy pass compounds that: the handed-back round often no longer
+/// reproduced.  Stops as soon as the verdict is settled.
 bool Refails(const RoundParams& params, std::uint32_t retries,
              std::uint32_t& rounds_spent, std::uint32_t max_rounds) {
+  const std::uint32_t needed = retries / 2 + 1;
+  std::uint32_t failures = 0;
   for (std::uint32_t i = 0; i < retries; ++i) {
+    if (failures + (retries - i) < needed) return false;
     if (rounds_spent >= max_rounds) return false;
     ++rounds_spent;
-    if (!RunRound(params).ok) return true;
+    if (!RunRound(params).ok && ++failures == needed) return true;
   }
   return false;
 }
@@ -323,6 +335,43 @@ MinimizeResult Minimize(const RoundParams& failing, std::uint32_t retries,
   return out;
 }
 
+std::string ReproLine(const RoundParams& params) {
+  const RoundParams defaults;
+  std::ostringstream out;
+  out << "KIWI_FUZZ_SEED=" << params.seed << " kiwi_fuzz --seed="
+      << params.seed;
+  const auto flag = [&out](const char* name, std::uint32_t value,
+                           std::uint32_t default_value) {
+    if (value != default_value) out << " --" << name << "=" << value;
+  };
+  flag("threads", params.threads, defaults.threads);
+  flag("ops", params.ops_per_thread, defaults.ops_per_thread);
+  flag("keys", params.keys, defaults.keys);
+  flag("chunk-capacity", params.chunk_capacity, defaults.chunk_capacity);
+  flag("max-engaged", params.max_engaged_chunks, defaults.max_engaged_chunks);
+  if (params.put_pct != defaults.put_pct ||
+      params.remove_pct != defaults.remove_pct ||
+      params.get_pct != defaults.get_pct) {
+    out << " --mix=" << params.put_pct << ":" << params.remove_pct << ":"
+        << params.get_pct;
+  }
+  flag("batch-pct", params.batch_pct, defaults.batch_pct);
+  flag("batch-max", params.max_batch, defaults.max_batch);
+  if (params.byte_keys) out << " --bytes";
+  if (params.site_mask != defaults.site_mask) {
+    out << " --site-mask=0x" << std::hex << params.site_mask << std::dec;
+  }
+  if (params.mutants != defaults.mutants) {
+    out << " --mutant-mask=0x" << std::hex << params.mutants << std::dec;
+  }
+  for (const RoundParams::SiteOverride& f : params.forced_sites) {
+    out << " --force-site=" << f.site << ":" << ActionName(f.config.action)
+        << ":" << static_cast<unsigned>(f.config.probability_pct) << ":"
+        << f.config.intensity;
+  }
+  return out.str();
+}
+
 std::optional<std::string> DumpFailureArtifacts(const RoundParams& params,
                                                 const RoundResult& result,
                                                 std::string dir) {
@@ -341,28 +390,7 @@ std::optional<std::string> DumpFailureArtifacts(const RoundParams& params,
   std::ofstream out(base + ".txt");
   if (!out) return std::nullopt;
   out << "# kiwi_fuzz failure artifact\n"
-      << "# repro: KIWI_FUZZ_SEED=" << params.seed << " kiwi_fuzz --seed="
-      << params.seed << " --threads=" << params.threads << " --ops="
-      << params.ops_per_thread << " --keys=" << params.keys
-      << " --chunk-capacity=" << params.chunk_capacity
-      << " --mix=" << params.put_pct << ":" << params.remove_pct << ":"
-      << params.get_pct << " --max-engaged=" << params.max_engaged_chunks;
-  if (params.byte_keys) out << " --bytes";
-  if (params.batch_pct != 0) {
-    out << " --batch-pct=" << params.batch_pct
-        << " --batch-max=" << params.max_batch;
-  }
-  if (params.site_mask != ~std::uint64_t{0}) {
-    out << " --site-mask=0x" << std::hex << params.site_mask << std::dec;
-  }
-  if (params.mutants != 0) {
-    out << " --mutant-mask=0x" << std::hex << params.mutants << std::dec;
-  }
-  for (const RoundParams::SiteOverride& f : params.forced_sites) {
-    out << " --force-site=" << f.site << ":" << ActionName(f.config.action)
-        << ":" << static_cast<unsigned>(f.config.probability_pct) << ":"
-        << f.config.intensity;
-  }
+      << "# repro: " << ReproLine(params);
   out << "\n\n"
       << "violation: " << result.message << "\n"
       << "schedule:  " << result.schedule << "\n\n"

@@ -32,17 +32,12 @@ struct RoundParams {
   /// into a single window.
   std::uint32_t ops_per_thread = 100;
   std::uint32_t keys = 16;
-  /// Keys preloaded (bulk constructor) before the round: key i -> unique
-  /// value, for i in [0, preload).
-  std::uint32_t preload = 8;
   std::uint32_t chunk_capacity = 8;
   /// KiWiConfig::max_engaged_chunks for the round.  The engage-consensus
   /// disagreement window only opens on a *cap* seal (policy-based seals are
   /// arithmetically consistent across helpers), so a low cap over a sparse
   /// merge-heavy keyspace is what exercises the last_engaged consensus.
   std::uint32_t max_engaged_chunks = 8;
-  /// Widest scan range drawn (inclusive key span).
-  std::uint32_t max_scan_span = 4;
   /// Op mix in percent; the remainder after put+remove+get+batch is the
   /// scan share.  Remove-heavy mixes produce sparse chunks and therefore
   /// chunk *merges* — required to exercise the multi-chunk engage consensus.
@@ -98,8 +93,9 @@ struct RoundResult {
 RoundResult RunRound(const RoundParams& params);
 
 /// Shrink a failing round: greedily mask schedule sites off, then halve
-/// ops_per_thread, re-running each candidate `retries` times (failures are
-/// probabilistic — a candidate counts as still-failing if any retry fails).
+/// ops_per_thread, re-running each candidate up to `retries` times (failures
+/// are probabilistic — a candidate counts as still-failing only if most
+/// retries fail, so the result reproduces reliably).
 /// Returns the smallest params that still failed, and how many rounds were
 /// spent.
 struct MinimizeResult {
@@ -110,6 +106,11 @@ struct MinimizeResult {
 };
 MinimizeResult Minimize(const RoundParams& failing, std::uint32_t retries,
                         std::uint32_t max_rounds);
+
+/// The kiwi_fuzz command that replays `params`: the seed plus a flag for
+/// every field that differs from its RoundParams default (every field has
+/// a flag).
+std::string ReproLine(const RoundParams& params);
 
 /// Write the failure artifacts for a round into `dir` (created if needed):
 /// history dump, map DebugReport text, Perfetto trace (when tracing is

@@ -36,6 +36,7 @@ using kiwi::TestHooks;
 using kiwi::fuzz::DumpFailureArtifacts;
 using kiwi::fuzz::Minimize;
 using kiwi::fuzz::MinimizeResult;
+using kiwi::fuzz::ReproLine;
 using kiwi::fuzz::RoundParams;
 using kiwi::fuzz::RoundResult;
 using kiwi::fuzz::RunRound;
@@ -306,14 +307,7 @@ int HandleFailure(const Options& opt, RoundParams params,
   } else {
     std::printf("artifact dump failed (check --artifact-dir)\n");
   }
-  std::printf("repro: KIWI_FUZZ_SEED=%llu kiwi_fuzz --threads=%u --ops=%u "
-              "--keys=%u --chunk-capacity=%u --site-mask=0x%llx%s%s%s\n",
-              static_cast<unsigned long long>(params.seed), params.threads,
-              params.ops_per_thread, params.keys, params.chunk_capacity,
-              static_cast<unsigned long long>(params.site_mask),
-              params.byte_keys ? " --bytes" : "",
-              params.mutants ? " --mutant-mask=" : "",
-              params.mutants ? std::to_string(params.mutants).c_str() : "");
+  std::printf("repro: %s\n", ReproLine(params).c_str());
   return 1;
 }
 

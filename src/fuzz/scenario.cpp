@@ -22,9 +22,7 @@ class FuzzScenarioPeer {
     return map_.LocateChunk(key);
   }
 
-  void Rebalance(Chunk* chunk) {
-    map_.Rebalance(chunk, 0, 0, /*has_put=*/false);
-  }
+  void Rebalance(Chunk* chunk) { map_.Rebalance(chunk, {}); }
 
  private:
   KiWiMap& map_;

@@ -45,9 +45,11 @@ std::string ChunkCensus::ToJson() const {
          (unsigned long long)chunks, (unsigned long long)infant,
          (unsigned long long)normal, (unsigned long long)frozen,
          (unsigned long long)engaged);
-  Append(out, "\"allocated_cells\":%llu,\"batched_cells\":%llu,",
+  Append(out,
+         "\"allocated_cells\":%llu,\"batched_cells\":%llu,"
+         "\"avg_fill\":%.17g,\"batched_ratio\":%.17g,",
          (unsigned long long)allocated_cells,
-         (unsigned long long)batched_cells);
+         (unsigned long long)batched_cells, avg_fill, batched_ratio);
   AppendHist(out, "fill_hist", fill_hist);
   out += ",";
   AppendHist(out, "batched_hist", batched_hist);
@@ -74,9 +76,11 @@ obs::ChunkCensus KiWiMapT<Layout>::Census() {
           .count());
   // The guard pins every chunk we can reach; concurrent rebalances may
   // splice sectors mid-walk, so the numbers are a consistent-enough estimate
-  // (exact when quiescent), like Report().
+  // (exact when quiescent).
   reclaim::EbrGuard guard(ebr_);
   double age_sum = 0;
+  double fill_sum = 0;
+  double batched_sum = 0;
   for (Chunk* c = sentinel_->Next(); c != nullptr; c = c->Next()) {
     census.chunks++;
     switch (c->status.load(std::memory_order_acquire)) {
@@ -94,9 +98,11 @@ obs::ChunkCensus KiWiMapT<Layout>::Census() {
     const double fill =
         c->capacity > 0 ? static_cast<double>(allocated) / c->capacity : 0;
     census.fill_hist[obs::ChunkCensus::DecileFor(fill)]++;
+    fill_sum += fill;
     const double batched_ratio =
         allocated > 0 ? static_cast<double>(c->batched_count) / allocated : 1.0;
     census.batched_hist[obs::ChunkCensus::DecileFor(batched_ratio)]++;
+    batched_sum += batched_ratio;
     if (c->arena_capacity > 0) {  // arena-bearing (byte-layout) chunks only
       const std::uint64_t used = c->ArenaUsed();
       census.arena_used_bytes += used;
@@ -112,7 +118,10 @@ obs::ChunkCensus KiWiMapT<Layout>::Census() {
     age_sum += static_cast<double>(age);
   }
   if (census.chunks > 0) {
-    census.age_mean_ns = age_sum / static_cast<double>(census.chunks);
+    const double chunks = static_cast<double>(census.chunks);
+    census.avg_fill = fill_sum / chunks;
+    census.batched_ratio = batched_sum / chunks;
+    census.age_mean_ns = age_sum / chunks;
   }
   return census;
 }

@@ -37,6 +37,11 @@ struct ChunkCensus {
   // ---- cells -------------------------------------------------------------
   std::uint64_t allocated_cells = 0;  // cells handed out across chunks
   std::uint64_t batched_cells = 0;    // cells in binary-searchable prefixes
+  /// Per-chunk means of the two ratios bucketed below: fill factor
+  /// (allocated / capacity) and sorted-prefix share (batched / allocated,
+  /// empty chunks count as 1).  Zero when there are no data chunks.
+  double avg_fill = 0;
+  double batched_ratio = 0;
 
   // ---- distributions ------------------------------------------------------
   /// Fill factor per chunk (allocated / capacity), deciles.

@@ -201,10 +201,9 @@ void MetricsSample::WriteProm(std::ostream& out) const {
   // Distribution histograms.  The _sum fields are approximations derived
   // from the per-chunk averages (the census stores deciles, not raw sums).
   PromDecileHistogram(out, "kiwi_chunk_fill", census.fill_hist,
-                      report.gauges.avg_fill *
-                          static_cast<double>(census.chunks));
+                      census.avg_fill * static_cast<double>(census.chunks));
   PromDecileHistogram(out, "kiwi_chunk_batched_ratio", census.batched_hist,
-                      report.gauges.batched_ratio *
+                      census.batched_ratio *
                           static_cast<double>(census.chunks));
   // Latency digests as labeled gauges (the histograms are internal;
   // percentile gauges are what dashboards actually plot).

@@ -8,8 +8,10 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 
 namespace kiwi::obs {
 
@@ -44,47 +46,28 @@ std::string DebugReport::ToText() const {
   std::string out;
   Append(out, "KiWi DebugReport (stats %s)\n",
          stats_enabled ? "on" : "off — counters/latency read zero");
-  const OpCounters& c = counters;
-  Append(out, " counters:\n");
-  Append(out,
-         "  puts=%llu removes=%llu gets=%llu get_hits=%llu scans=%llu "
-         "scan_keys=%llu snapshots=%llu\n",
-         (unsigned long long)c.puts, (unsigned long long)c.removes,
-         (unsigned long long)c.gets, (unsigned long long)c.get_hits,
-         (unsigned long long)c.scans, (unsigned long long)c.scan_keys,
-         (unsigned long long)c.snapshots);
-  Append(out,
-         "  put_batches=%llu batch_entries=%llu batch_bulk_entries=%llu\n",
-         (unsigned long long)c.put_batches,
-         (unsigned long long)c.batch_entries,
-         (unsigned long long)c.batch_bulk_entries);
-  Append(out,
-         "  rebalances=%llu rebalance_wins=%llu put_restarts=%llu "
-         "puts_piggybacked=%llu puts_helped=%llu scans_helped=%llu\n",
-         (unsigned long long)c.rebalances,
-         (unsigned long long)c.rebalance_wins,
-         (unsigned long long)c.put_restarts,
-         (unsigned long long)c.puts_piggybacked,
-         (unsigned long long)c.puts_helped,
-         (unsigned long long)c.scans_helped);
-  Append(out, "  chunks_created=%llu chunks_retired=%llu\n",
-         (unsigned long long)c.chunks_created,
-         (unsigned long long)c.chunks_retired);
-  Append(out,
-         "  put_link_retries=%llu ppa_publish_fails=%llu "
-         "cell_alloc_overflows=%llu locate_restarts=%llu\n",
-         (unsigned long long)c.put_link_retries,
-         (unsigned long long)c.ppa_publish_fails,
-         (unsigned long long)c.cell_alloc_overflows,
-         (unsigned long long)c.locate_restarts);
-  Append(out,
-         "  engage_cas_fails=%llu freeze_cas_retries=%llu splice_retries=%llu "
-         "splice_helps=%llu index_cas_retries=%llu\n",
-         (unsigned long long)c.engage_cas_fails,
-         (unsigned long long)c.freeze_cas_retries,
-         (unsigned long long)c.splice_retries,
-         (unsigned long long)c.splice_helps,
-         (unsigned long long)c.index_cas_retries);
+  // Counters and integer gauges print as name=value straight from their
+  // canonical field lists, wrapped to stay within 80 columns.
+  std::string line;
+  const auto field = [&out, &line](const char* name, std::uint64_t value) {
+    char text[96];
+    std::snprintf(text, sizeof(text), " %s=%llu", name,
+                  (unsigned long long)value);
+    if (!line.empty() && line.size() + std::strlen(text) > 79) {
+      out += " " + line + "\n";
+      line.clear();
+    }
+    line += text;
+  };
+  const auto end_lines = [&out, &line] {
+    if (!line.empty()) out += " " + line + "\n";
+    line.clear();
+  };
+  out += " counters:\n";
+#define KIWI_OBS_TEXT_COUNTER(name) field(#name, counters.name);
+  KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_TEXT_COUNTER)
+#undef KIWI_OBS_TEXT_COUNTER
+  end_lines();
   Append(out,
          " latency (ns; put/get/scan sampled 1 in %u, rebalance exhaustive):\n",
          1u << StatsRegistry::kSampleShift);
@@ -97,36 +80,13 @@ std::string DebugReport::ToText() const {
            (unsigned long long)s.p50, (unsigned long long)s.p99,
            (unsigned long long)s.p999, (unsigned long long)s.max, s.mean_ns);
   }
-  Append(out, " gauges:\n");
-  Append(out,
-         "  chunks=%llu allocated_cells=%llu batched_cells=%llu "
-         "avg_fill=%.3f batched_ratio=%.3f\n",
-         (unsigned long long)gauges.chunks,
-         (unsigned long long)gauges.allocated_cells,
-         (unsigned long long)gauges.batched_cells, gauges.avg_fill,
+  out += " gauges:\n";
+#define KIWI_OBS_TEXT_GAUGE(name) field(#name, gauges.name);
+  KIWI_OBS_GAUGE_FIELDS(KIWI_OBS_TEXT_GAUGE)
+#undef KIWI_OBS_TEXT_GAUGE
+  end_lines();
+  Append(out, "  avg_fill=%.3f batched_ratio=%.3f\n", gauges.avg_fill,
          gauges.batched_ratio);
-  Append(out,
-         "  psa_active=%llu snapshot_pins=%llu ebr_pending=%llu "
-         "ebr_pending_bytes=%llu ebr_epoch=%llu ebr_epoch_lag=%llu "
-         "global_version=%llu memory_bytes=%llu\n",
-         (unsigned long long)gauges.psa_active,
-         (unsigned long long)gauges.snapshot_pins,
-         (unsigned long long)gauges.ebr_pending,
-         (unsigned long long)gauges.ebr_pending_bytes,
-         (unsigned long long)gauges.ebr_epoch,
-         (unsigned long long)gauges.ebr_epoch_lag,
-         (unsigned long long)gauges.global_version,
-         (unsigned long long)gauges.memory_bytes);
-  Append(out,
-         "  pool_hits=%llu pool_misses=%llu pool_recycled=%llu "
-         "pool_class_retries=%llu pool_live_bytes=%llu "
-         "pool_pooled_bytes=%llu\n",
-         (unsigned long long)gauges.pool_hits,
-         (unsigned long long)gauges.pool_misses,
-         (unsigned long long)gauges.pool_recycled,
-         (unsigned long long)gauges.pool_class_retries,
-         (unsigned long long)gauges.pool_live_bytes,
-         (unsigned long long)gauges.pool_pooled_bytes);
   return out;
 }
 
@@ -185,14 +145,15 @@ obs::DebugReport KiWiMapT<Layout>::DebugReport() {
   }
 #endif
   // Gauges are computed from the live structure regardless of the stats
-  // gate.  Structure numbers reuse Report(); the PSA walks look at every
-  // slot (64 loads — occupancy must count exited threads' leaks too).
-  const StructureReport structure = Report();
-  report.gauges.chunks = structure.data_chunks;
-  report.gauges.allocated_cells = structure.allocated_cells;
-  report.gauges.batched_cells = structure.batched_cells;
-  report.gauges.avg_fill = structure.avg_fill;
-  report.gauges.batched_ratio = structure.avg_batched_ratio;
+  // gate.  Structure numbers come from one Census() walk; the PSA walks
+  // look at every slot (64 loads — occupancy must count exited threads'
+  // leaks too).
+  const obs::ChunkCensus census = Census();
+  report.gauges.chunks = census.chunks;
+  report.gauges.allocated_cells = census.allocated_cells;
+  report.gauges.batched_cells = census.batched_cells;
+  report.gauges.avg_fill = census.avg_fill;
+  report.gauges.batched_ratio = census.batched_ratio;
   for (std::size_t t = 0; t < kMaxThreads; ++t) {
     if (psa_.Slot(t).Load().ver != kNoVersion) report.gauges.psa_active++;
     for (const auto& array : snapshot_psa_) {

@@ -16,9 +16,10 @@
 // Every integer DebugReport gauge, in the canonical (wire/JSON) order.  The
 // two double gauges (avg_fill, batched_ratio) are emitted after the integer
 // fields and are handled explicitly by the renderers.
-// Like KIWI_OBS_COUNTER_FIELDS, this single list drives ToJson, the metrics
-// pump, and the Prometheus gauge names (kiwi_<name>) — a field added to
-// DebugReport::Gauges without a row here fails to compile in report.cpp.
+// Like KIWI_OBS_COUNTER_FIELDS, this single list drives ToText, ToJson, the
+// metrics pump, and the Prometheus gauge names (kiwi_<name>).  A row without
+// a DebugReport::Gauges field fails to compile in report.cpp; a field
+// without a row is rendered nowhere.
 #define KIWI_OBS_GAUGE_FIELDS(X) \
   X(chunks)                      \
   X(allocated_cells)             \
@@ -63,7 +64,8 @@ struct DebugReport {
   /// every execution.
   std::array<LatencySummary, kLatencyCount> latency{};
 
-  /// Structural health, computed from the live structure at report time.
+  /// Structural health, computed from the live structure at report time
+  /// (the first five from one Census() walk).
   struct Gauges {
     std::uint64_t chunks = 0;           // data chunks in the list
     std::uint64_t allocated_cells = 0;  // cells handed out across chunks

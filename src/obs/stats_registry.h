@@ -50,13 +50,12 @@ namespace kiwi::obs {
   X(put_batches)        /* PutBatch() calls */                              \
   X(batch_entries)      /* entries submitted (pre-dedup) */                 \
   X(batch_bulk_entries) /* entries installed via bulk build */              \
-  /* ---- KiWi internals (superset of the legacy KiWiStats) ----------- */ \
+  /* ---- KiWi internals --------------------------------------------- */ \
   X(rebalances)         /* rebalance executions (incl. helpers) */          \
   X(rebalance_wins)     /* replace-stage splice-CAS wins */                 \
   X(put_restarts)       /* puts restarted by rebalance */                   \
   X(chunks_created)                                                         \
   X(chunks_retired)                                                         \
-  X(puts_piggybacked)   /* puts completed inside a rebalance */             \
   X(puts_helped)        /* put version installed by a scan/get */           \
   X(scans_helped)       /* scan version installed by a rebalance */         \
   /* ---- contention: retries/failures on the hot CAS loops ----------- */ \

@@ -82,7 +82,6 @@ constexpr unsigned kA0Hex = 1, kA1Hex = 2;
 unsigned ArgHexMask(Ev id) {
   switch (id) {
     case Ev::kPutRestart:
-    case Ev::kPutPiggyback:
       return kA1Hex;
     case Ev::kScanHelpInstall:
       return kA0Hex;
@@ -250,7 +249,6 @@ const char* TraceEventName(Ev id) {
     case Ev::kPutPpaPublish: return "put_ppa_publish";
     case Ev::kPutRestart: return "put_restart";
     case Ev::kPutHelped: return "put_helped";
-    case Ev::kPutPiggyback: return "put_piggyback";
     case Ev::kGetOp: return "get";
     case Ev::kScanBegin: return "scan_begin";
     case Ev::kScanVersion: return "scan_version";

@@ -55,8 +55,8 @@
 
 namespace kiwi::obs::trace {
 
-/// Event identifiers.  Stable names (TraceEventName) are part of the trace
-/// JSON contract; append new ids before kCount_, never reorder.
+/// Event identifiers.  The stable names (TraceEventName), not the numeric
+/// ids, are the trace JSON contract; append new ids before kCount_.
 enum class Ev : std::uint16_t {
   kNone = 0,
   // ---- put path (sampled unless noted) ---------------------------------
@@ -64,7 +64,6 @@ enum class Ev : std::uint16_t {
   kPutPpaPublish,   // a0=key, a1=cell index     (sampled)
   kPutRestart,      // a0=key, a1=chunk ptr      (always: restarts are rare)
   kPutHelped,       // a0=key, a1=version        (always: helping is rare)
-  kPutPiggyback,    // a0=key, a1=chunk ptr      (always)
   // ---- get / scan -------------------------------------------------------
   kGetOp,           // a0=key, a1=hit(1)/miss(0) (sampled instant)
   kScanBegin,       // a0=from, a1=to            (sampled; begins a span)

@@ -127,8 +127,12 @@ void SlabPool::Deallocate(void* block, std::size_t bytes) {
     return;
   }
 
-  // Cache full: spill to the global list.
+  // Cache full: spill to the global list.  Poison before publishing: once
+  // the lock is released another thread may pop and reissue the slab, and
+  // a late poison would then land on its live chunk.
   spills_.fetch_add(1, std::memory_order_relaxed);
+  KIWI_POOL_POISON(reinterpret_cast<char*>(slab) + sizeof(FreeSlab),
+                   rounded - sizeof(FreeSlab));
   SizeClass& sc = classes_[cls];
   while (sc.lock.test_and_set(std::memory_order_acquire)) {
   }
@@ -136,8 +140,6 @@ void SlabPool::Deallocate(void* block, std::size_t bytes) {
   sc.spill_head = slab;
   sc.spill_count++;
   sc.lock.clear(std::memory_order_release);
-  KIWI_POOL_POISON(reinterpret_cast<char*>(slab) + sizeof(FreeSlab),
-                   rounded - sizeof(FreeSlab));
 }
 
 std::size_t SlabPool::Trim() {

@@ -101,16 +101,19 @@ TEST(ChunkFind, ReportsInsertionPoint) {
   Chunk& chunk = *chunk_owner;
   std::int32_t pred = -2, succ = -2;
   // Missing key between the two: pred = cell(10), succ = cell(30).
-  EXPECT_EQ(chunk.FindCell(20, 1, &pred, &succ), Chunk::kNullIdx);
+  EXPECT_EQ(chunk.FindCellFrom(Chunk::kNullIdx, 20, 1, &pred, &succ),
+            Chunk::kNullIdx);
   EXPECT_EQ(chunk.k[pred].key, 10);
   EXPECT_EQ(chunk.k[succ].key, 30);
   // Exact {key, version} hit.
-  const std::int32_t hit = chunk.FindCell(30, 1, &pred, &succ);
+  const std::int32_t hit =
+      chunk.FindCellFrom(Chunk::kNullIdx, 30, 1, &pred, &succ);
   ASSERT_NE(hit, Chunk::kNullIdx);
   EXPECT_EQ(chunk.k[hit].key, 30);
   // Same key, different version: miss, positioned after version 1?  A
   // *newer* version (5 > 1) belongs before the existing cell.
-  EXPECT_EQ(chunk.FindCell(30, 5, &pred, &succ), Chunk::kNullIdx);
+  EXPECT_EQ(chunk.FindCellFrom(Chunk::kNullIdx, 30, 5, &pred, &succ),
+            Chunk::kNullIdx);
   EXPECT_EQ(chunk.k[pred].key, 10);
   EXPECT_EQ(chunk.k[succ].key, 30);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <tuple>
 
 #include "baselines/snaptree/cow_tree.h"
@@ -19,6 +20,11 @@ struct Mix {
   double remove;
   double scan;
 };
+
+// Without a printer gtest renders a Mix as raw bytes, including the `name`
+// pointer, which ASLR moves on every run; gtest_discover_tests copies that
+// "# GetParam() = ..." text into the CTest names, so they changed per build.
+void PrintTo(const Mix& mix, std::ostream* os) { *os << mix.name; }
 
 class CowTreeMix : public ::testing::TestWithParam<std::tuple<Mix, int>> {};
 

@@ -8,6 +8,7 @@
 #include "baselines/skiplist/skiplist.h"
 #include "common/random.h"
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 #include "reclaim/ebr.h"
 
 namespace kiwi {
@@ -27,7 +28,7 @@ TEST(EdgeCases, MinimumChunkCapacity) {
   map.CheckInvariants();
 #if KIWI_OBS_ENABLED
   // Counters read zero in a KIWI_STATS=OFF build.
-  EXPECT_GT(map.Stats().rebalances, 100u);
+  EXPECT_GT(map.DebugReport().counters.rebalances, 100u);
 #endif
 }
 
@@ -40,7 +41,7 @@ TEST(EdgeCases, SameKeyOverwrittenThousandsOfTimes) {
   EXPECT_EQ(map.Size(), 1u);
   // The structure must not bloat: compaction collapses the overwrites.
   map.CompactAll();
-  EXPECT_LE(map.ChunkCount(), 3u);  // sentinel + 1-2 data chunks
+  EXPECT_LE(map.Census().chunks, 2u);  // 1-2 data chunks
 }
 
 TEST(EdgeCases, AlternatingInsertDeleteSameKey) {
@@ -161,10 +162,10 @@ TEST(EdgeCases, ConcurrentMapsDoNotInterfere) {
 
 TEST(EdgeCases, StatsAreMonotoneAcrossOperations) {
   KiWiMap map(KiWiConfig{.chunk_capacity = 16});
-  core::KiWiStats previous = map.Stats();
+  obs::OpCounters previous = map.DebugReport().counters;
   for (int phase = 0; phase < 5; ++phase) {
     for (Key k = 0; k < 500; ++k) map.Put(k + phase * 500, k);
-    const core::KiWiStats current = map.Stats();
+    const obs::OpCounters current = map.DebugReport().counters;
     EXPECT_GE(current.rebalances, previous.rebalances);
     EXPECT_GE(current.chunks_created, previous.chunks_created);
     EXPECT_GE(current.put_restarts, previous.put_restarts);

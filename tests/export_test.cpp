@@ -359,14 +359,15 @@ TEST(Census, MatchesBulkLoadedLayout) {
   KiWiMap map(std::span<const KiWiMap::Entry>(entries), config);
 
   const obs::ChunkCensus census = map.Census();
-  EXPECT_EQ(census.chunks, map.ChunkCount() - 1);  // sentinel excluded
-  EXPECT_GT(census.chunks, 1u);
+  EXPECT_EQ(census.chunks, 7u);  // 200 keys at 32 (half of 64) per chunk
   EXPECT_EQ(census.allocated_cells, 200u);
+  EXPECT_DOUBLE_EQ(census.avg_fill, 200.0 / (7 * 64));
   // Bulk-loaded chunks are entirely sorted prefix: every chunk lands in the
   // top batched-ratio decile and no rebalance is pending.
   EXPECT_EQ(census.batched_cells, 200u);
   EXPECT_EQ(census.batched_hist[obs::ChunkCensus::kDecileBuckets - 1],
             census.chunks);
+  EXPECT_DOUBLE_EQ(census.batched_ratio, 1.0);
   EXPECT_EQ(census.normal, census.chunks);
   EXPECT_EQ(census.infant, 0u);
   EXPECT_EQ(census.frozen, 0u);

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <fstream>
 #include <iterator>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/test_env.h"
 #include "common/test_hooks.h"
@@ -146,12 +149,23 @@ TEST(FuzzHarness, DetectsSkipScanPublishMutantWithByteKeys) {
 }
 
 TEST(FuzzHarness, DetectsEagerTombstonePurgeMutant) {
-  // First detection lands anywhere in roughly the first 50 seeds (the
-  // violating interleaving is probabilistic per seed), so the budget
-  // carries a ~3x margin.
-  const int used =
-      SeedsUntilViolation(TestHooks::kEagerTombstonePurge, RoundParams{},
-                          ScaledIters(150));
+  // The mutant bites when a scan's read point is fixed (by a helping
+  // rebalance) while the scan is still stalled before installing it, and a
+  // later rebalance compacts a tombstone above that read point.  Drawn
+  // schedules open that window in only ~2% of seeds, so an undirected
+  // sweep missed the mutant in 1 of 10-20 runs of this budget; pinning a
+  // 2 ms sleep at the stall site catches it in ~40% of seeds.  The clean
+  // tree shows no violation under the same pin.
+  ASSERT_STREQ(TestHooks::AllSites()[3].name, "scan_before_version_install");
+  RoundParams base;
+  RoundParams::SiteOverride stall;
+  stall.site = 3;
+  stall.config.action = SiteAction::kSleep;
+  stall.config.probability_pct = 20;
+  stall.config.intensity = 2000;
+  base.forced_sites.push_back(stall);
+  const int used = SeedsUntilViolation(TestHooks::kEagerTombstonePurge, base,
+                                       ScaledIters(150));
   EXPECT_GT(used, 0) << "mutant not detected within seed budget";
 }
 
@@ -219,7 +233,7 @@ TEST(FuzzHarness, SkipGetHelpMutantObservableViaHelpingStats) {
     });
     writer.join();
     reader.join();
-    return map.Stats().puts_helped;
+    return map.DebugReport().counters.puts_helped;
   };
   EXPECT_GT(helped_count(0), 0u)
       << "clean gets never helped a stalled put";
@@ -227,6 +241,49 @@ TEST(FuzzHarness, SkipGetHelpMutantObservableViaHelpingStats) {
       << "mutant gets still helped — the mutant switch is dead";
 }
 #endif
+
+// HandleFailure's stdout line and the artifact file share ReproLine, so a
+// dropped flag would replay a different round (a batch failure replayed
+// with no batches, say).  Every field away from its default must appear.
+TEST(FuzzHarness, ReproLineCarriesEveryNonDefaultField) {
+  RoundParams params;
+  params.seed = 55;
+  EXPECT_EQ(ReproLine(params), "KIWI_FUZZ_SEED=55 kiwi_fuzz --seed=55");
+
+  params.threads = 3;
+  params.ops_per_thread = 77;
+  params.keys = 21;
+  params.chunk_capacity = 12;
+  params.max_engaged_chunks = 2;
+  params.put_pct = 40;
+  params.remove_pct = 20;
+  params.get_pct = 10;
+  params.batch_pct = 15;
+  params.max_batch = 9;
+  params.byte_keys = true;
+  params.site_mask = 0x5;
+  params.mutants = TestHooks::kSkipGetHelp;
+  RoundParams::SiteOverride forced;
+  forced.site = 2;
+  forced.config.action = SiteAction::kSleep;
+  forced.config.probability_pct = 50;
+  forced.config.intensity = 7;
+  params.forced_sites.push_back(forced);
+  std::ostringstream mutant_flag;
+  mutant_flag << "--mutant-mask=0x" << std::hex << params.mutants;
+
+  const std::string line = ReproLine(params);
+  const std::vector<std::string> flags{
+      "--seed=55",        "--threads=3",    "--ops=77",
+      "--keys=21",        "--chunk-capacity=12", "--max-engaged=2",
+      "--mix=40:20:10",   "--batch-pct=15", "--batch-max=9",
+      "--bytes",          "--site-mask=0x5", mutant_flag.str(),
+      "--force-site=2:sleep:50:7"};
+  for (const std::string& flag : flags) {
+    EXPECT_NE(line.find(" " + flag), std::string::npos)
+        << flag << " missing from: " << line;
+  }
+}
 
 TEST(FuzzHarness, FailureArtifactsAreWritten) {
   RoundParams failing;

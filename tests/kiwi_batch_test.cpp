@@ -11,6 +11,7 @@
 #include "api/map_interface.h"
 #include "common/random.h"
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 
 namespace kiwi::core {
 namespace {
@@ -118,23 +119,28 @@ TEST(KiWiBatch, PresortedIngestTakesBulkPath) {
     EXPECT_GT(report.counters.batch_bulk_entries, 9000u);
   }
   // Bulk-built chunks carry sorted prefixes the scan fast-path can use.
-  EXPECT_GT(map.Report().avg_batched_ratio, 0.5);
+  EXPECT_GT(map.Census().batched_ratio, 0.5);
   map.CheckInvariants();
 }
 
 TEST(KiWiBatch, SmallRunsUsePerOpPath) {
   KiWiConfig config;
-  config.chunk_capacity = 128;
-  config.batch_bulk_min_run = 1000;  // effectively disable bulk builds
+  config.chunk_capacity = 128;  // bulk threshold: max(4, 128 / 8) = 16
   KiWiMap map(config);
-  map.PutBatch(std::vector<Entry>(MakeAscending(1, 500)));
-  EXPECT_EQ(map.Size(), 500u);
+  constexpr std::size_t kBatch = 10;  // every run is below the threshold
+  map.PutBatch(MakeAscending(1, kBatch));
   const auto report = map.DebugReport();
   if (report.stats_enabled) {
-    // Runs are capped by chunk boundaries (< 1000), so nothing bulk-built
-    // until a chunk fills and rebalance splits carry entries through.
+    // The first batch lands in the empty initial chunk, which the policy
+    // has no reason to rebalance: every entry goes through the per-op
+    // path.  Later batches may trip a rebalance and ride its build.
     EXPECT_EQ(report.counters.put_batches, 1u);
+    EXPECT_EQ(report.counters.batch_bulk_entries, 0u);
   }
+  for (Key first = 1 + kBatch; first <= 500; first += kBatch) {
+    map.PutBatch(MakeAscending(first, kBatch));
+  }
+  EXPECT_EQ(map.Size(), 500u);
   for (Key k = 1; k <= 500; ++k) {
     ASSERT_EQ(map.Get(k).value_or(-1), static_cast<Value>(k) * 7);
   }

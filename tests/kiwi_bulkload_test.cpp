@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 
 namespace kiwi::core {
 namespace {
@@ -52,10 +53,10 @@ TEST(KiWiBulkLoad, ChunksAreHalfFilled) {
   config.chunk_capacity = 128;  // fill = 64
   const auto entries = MakeSorted(6400);
   KiWiMap map(entries, config);
-  const auto report = map.Report();
-  EXPECT_EQ(report.data_chunks, 100u);  // 6400 / 64
-  EXPECT_NEAR(report.avg_fill, 0.5, 0.01);
-  EXPECT_NEAR(report.avg_batched_ratio, 1.0, 1e-9);  // fully sorted
+  const obs::ChunkCensus census = map.Census();
+  EXPECT_EQ(census.chunks, 100u);  // 6400 / 64
+  EXPECT_NEAR(census.avg_fill, 0.5, 0.01);
+  EXPECT_NEAR(census.batched_ratio, 1.0, 1e-9);  // fully sorted
 }
 
 TEST(KiWiBulkLoad, MutationsAfterLoadWork) {
@@ -97,16 +98,16 @@ TEST(KiWiReport, TracksBatchedDecay) {
   config.rebalance_probability = 0.0;  // no probabilistic rebalances
   const auto entries = MakeSorted(1280);  // 10 chunks, fully batched
   KiWiMap map(entries, config);
-  const double before = map.Report().avg_batched_ratio;
+  const double before = map.Census().batched_ratio;
   // Random inserts between the strides create linked-list bypasses and
   // dilute the batched prefix.
   Xoshiro256 rng(4);
   for (int i = 0; i < 600; ++i) {
     map.Put(static_cast<Key>(rng.NextBounded(1280 * 3)), i);
   }
-  const double after = map.Report().avg_batched_ratio;
+  const double after = map.Census().batched_ratio;
   EXPECT_LT(after, before);
-  EXPECT_GT(map.Report().allocated_cells, 1280u);
+  EXPECT_GT(map.Census().allocated_cells, 1280u);
 }
 
 }  // namespace

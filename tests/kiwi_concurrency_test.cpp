@@ -15,10 +15,9 @@
 namespace kiwi::core {
 namespace {
 
-KiWiConfig TinyChunks(std::uint32_t capacity = 64, bool piggyback = false) {
+KiWiConfig TinyChunks(std::uint32_t capacity = 64) {
   KiWiConfig config;
   config.chunk_capacity = capacity;
-  config.enable_put_piggyback = piggyback;
   return config;
 }
 
@@ -203,14 +202,14 @@ TEST(KiWiStress, SingleKeyContention) {
 
 struct StressParam {
   std::uint32_t chunk_capacity;
-  bool piggyback;
+  bool batches;  // writes go through PutBatch (short runs) instead of Put
 };
 
 class KiWiMixedStress : public ::testing::TestWithParam<StressParam> {};
 
 TEST_P(KiWiMixedStress, MixedOpsKeepStructureSane) {
   const StressParam param = GetParam();
-  KiWiMap map(TinyChunks(param.chunk_capacity, param.piggyback));
+  KiWiMap map(TinyChunks(param.chunk_capacity));
   constexpr int kThreads = 6;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -221,7 +220,12 @@ TEST_P(KiWiMixedStress, MixedOpsKeepStructureSane) {
         const Key key = static_cast<Key>(rng.NextBounded(3000));
         switch (rng.NextBounded(10)) {
           case 0: case 1: case 2: case 3:
-            map.Put(key, i);
+            if (param.batches) {
+              const KiWiMap::Entry batch[] = {{key, i}, {key + 1, i}};
+              map.PutBatch(batch);
+            } else {
+              map.Put(key, i);
+            }
             break;
           case 4: case 5:
             map.Remove(key);
@@ -256,7 +260,7 @@ INSTANTIATE_TEST_SUITE_P(
                       StressParam{256, false}, StressParam{64, true}),
     [](const auto& info) {
       return "cap" + std::to_string(info.param.chunk_capacity) +
-             (info.param.piggyback ? "_piggyback" : "");
+             (info.param.batches ? "_batches" : "");
     });
 
 // Many concurrent scanners force version retention; afterwards compaction

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "core/kiwi_map.h"
+#include "obs/census.h"
 
 namespace kiwi::core {
 namespace {
@@ -164,7 +165,7 @@ TEST_P(KiWiChunkSizes, SequentialInsertionStaysBalanced) {
   for (Key k = 0; k < kCount; ++k) ASSERT_EQ(out[k].second, k);
   map.CheckInvariants();
   // Chunk count reflects the dataset, not the insertion order pathology.
-  EXPECT_GT(map.ChunkCount(), kCount / Config().chunk_capacity);
+  EXPECT_GT(map.Census().chunks, kCount / Config().chunk_capacity);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, KiWiChunkSizes,
@@ -213,9 +214,9 @@ TEST(KiWiRebalance, MergeShrinksChunkCount) {
     if (k % 10 != 0) map.Remove(k);
   }
   map.CompactAll();
-  const std::size_t after_first = map.ChunkCount();
+  const std::uint64_t after_first = map.Census().chunks;
   map.CompactAll();  // merges cascade over a couple of passes
-  EXPECT_LE(map.ChunkCount(), after_first);
+  EXPECT_LE(map.Census().chunks, after_first);
   EXPECT_EQ(map.Size(), 500u);
   map.CheckInvariants();
 }
@@ -228,7 +229,8 @@ TEST(KiWiRebalance, StatsAccumulate) {
   config.chunk_capacity = 16;
   KiWiMap map(config);
   for (Key k = 0; k < 2000; ++k) map.Put(k, k);
-  const KiWiStats stats = map.Stats();
+  const obs::OpCounters stats = map.DebugReport().counters;
+  EXPECT_EQ(stats.puts, 2000u);
   EXPECT_GT(stats.rebalances, 0u);
   EXPECT_GT(stats.rebalance_wins, 0u);
   EXPECT_GT(stats.chunks_created, 0u);
@@ -246,8 +248,8 @@ TEST(KiWiRebalance, ReclamationDrains) {
   EXPECT_EQ(map.Reclaimer().PendingCount(), 0u);
 #if KIWI_OBS_ENABLED
   // Retired chunk accounting is consistent with creations.
-  const KiWiStats stats = map.Stats();
-  EXPECT_GE(stats.chunks_created + 1, map.ChunkCount() - 1);
+  const obs::OpCounters stats = map.DebugReport().counters;
+  EXPECT_GE(stats.chunks_created + 1, map.Census().chunks);
 #endif
 }
 
@@ -262,10 +264,11 @@ TEST(KiWiMemory, FootprintGrowsWithData) {
   EXPECT_LT(loaded, 50000u * 200u + (1u << 22));
 }
 
+// Every rebalance a put triggers restarts it (paper §6.1); the oracle must
+// still see every write exactly once.
 TEST(KiWiPiggyback, PutsCompleteInsideRebalance) {
   KiWiConfig config;
   config.chunk_capacity = 16;
-  config.enable_put_piggyback = true;
   KiWiMap map(config);
   std::map<Key, Value> oracle;
   Xoshiro256 rng(1234);
@@ -283,7 +286,7 @@ TEST(KiWiPiggyback, PutsCompleteInsideRebalance) {
   EXPECT_EQ(map.Size(), oracle.size());
 #if KIWI_OBS_ENABLED
   // Counters read zero in a KIWI_STATS=OFF build.
-  EXPECT_GT(map.Stats().puts_piggybacked, 0u);
+  EXPECT_GT(map.DebugReport().counters.put_restarts, 0u);
 #endif
   map.CheckInvariants();
 }

@@ -52,7 +52,7 @@ TEST(RaceInjection, ScansHelpStalledPuts) {
   writer.join();
 #if KIWI_OBS_ENABLED
   // Counters read zero in a KIWI_STATS=OFF build.
-  EXPECT_GT(map.Stats().puts_helped, 0u)
+  EXPECT_GT(map.DebugReport().counters.puts_helped, 0u)
       << "widened window but no put was ever helped by a reader";
 #endif
 }
@@ -83,7 +83,7 @@ TEST(RaceInjection, GetsHelpStalledPuts) {
   writer.join();
   reader.join();
 #if KIWI_OBS_ENABLED
-  EXPECT_GT(map.Stats().puts_helped, 0u);
+  EXPECT_GT(map.DebugReport().counters.puts_helped, 0u);
 #endif
 }
 
@@ -111,7 +111,7 @@ TEST(RaceInjection, FrozenChunksServeReadsAndRestartPuts) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(map.Size(), 4u * static_cast<std::size_t>(per_thread));
 #if KIWI_OBS_ENABLED
-  EXPECT_GT(map.Stats().put_restarts, 0u);
+  EXPECT_GT(map.DebugReport().counters.put_restarts, 0u);
 #endif
   map.CheckInvariants();
 }

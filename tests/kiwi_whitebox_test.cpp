@@ -4,8 +4,10 @@
 // the chunk life-cycle (infant -> normal -> frozen).
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
+#include "common/thread_registry.h"
 #include "core/kiwi_map.h"
 #include "reclaim/ebr.h"
 
@@ -24,6 +26,14 @@ class KiWiTestPeer {
   }
 
   reclaim::Ebr& Ebr() { return map_.ebr_; }
+
+  /// PutBatch's per-op path for `run` (sorted, distinct keys) in the chunk
+  /// covering its first key, from this thread's PPA slot.
+  std::size_t PutRunPerOp(std::span<const Chunk::Item> run) {
+    reclaim::EbrGuard guard(map_.ebr_);
+    return map_.PutRunPerOp(map_.LocateChunk(run.front().key), run,
+                            ThreadRegistry::CurrentSlot());
+  }
 
   std::vector<Chunk::Status> Statuses() {
     reclaim::EbrGuard guard(map_.ebr_);
@@ -102,7 +112,9 @@ TEST(KiWiWhitebox, LocateFollowsListPastStaleIndex) {
     ASSERT_NE(chunk, nullptr);
     EXPECT_LE(chunk->min_key, k);
     Chunk* next = chunk->Next();
-    if (next != nullptr) EXPECT_GT(next->min_key, k);
+    if (next != nullptr) {
+      EXPECT_GT(next->min_key, k);
+    }
   }
 }
 
@@ -159,6 +171,45 @@ TEST(KiWiWhitebox, ScanThroughFrozenOrphan) {
   std::vector<KiWiMap::Entry> out;
   ASSERT_EQ(map.Scan(0, 49, out), 50u);
   for (Key k = 0; k < 50; ++k) EXPECT_EQ(out[k].second, k);
+}
+
+// FreezePpa freezes only unversioned slots, so a freeze that lands while a
+// per-op batch run's entry holds a version skips that thread's slot.  Once
+// the entry releases the slot, the run's next publish from idle succeeds;
+// unless the run re-reads the chunk status first, that entry links into a
+// chunk the rebalance already harvested, and PutBatch reports a write that
+// is gone (a lost update the fuzzer found with --batch-pct).
+TEST(KiWiWhitebox, PerOpRunStopsAtFreezeThatSkippedItsSlot) {
+  KiWiConfig config;
+  config.chunk_capacity = 64;
+  KiWiMap map(config);
+  for (Key k = 0; k < 10; ++k) map.Put(k, k);
+  KiWiTestPeer peer(map);
+  Chunk* chunk = peer.Locate(100);
+  std::atomic<std::uint64_t>& slot = chunk->ppa[ThreadRegistry::CurrentSlot()];
+
+  // The run's previous entry holds a version when the chunk freezes...
+  const std::uint64_t versioned = Chunk::PackPpa(1, 1);
+  slot.store(versioned);
+  chunk->status.store(Chunk::Status::kFrozen);
+  chunk->FreezePpa();
+  ASSERT_EQ(slot.load(), versioned) << "the freeze must skip a versioned slot";
+  // ...then links and releases the slot.
+  slot.store(Chunk::kPpaIdle);
+
+  // The next entries must notice the freeze: nothing installed or linked.
+  const std::vector<Chunk::Item> run{{100, kNoVersion, 0, 1000},
+                                     {101, kNoVersion, 0, 1010}};
+  EXPECT_EQ(peer.PutRunPerOp(run), 0u);
+  EXPECT_FALSE(chunk->FindLatest(100, kMaxReadVersion).found);
+  EXPECT_FALSE(chunk->FindLatest(101, kMaxReadVersion).found);
+
+  // The public batch lands through the rebalance of the frozen chunk.
+  map.PutBatch(std::vector<KiWiMap::Entry>{{100, 1000}, {101, 1010}});
+  EXPECT_EQ(map.Get(100).value_or(-1), 1000);
+  EXPECT_EQ(map.Get(101).value_or(-1), 1010);
+  for (Key k = 0; k < 10; ++k) ASSERT_EQ(map.Get(k).value_or(-1), k) << k;
+  map.CheckInvariants();
 }
 
 TEST(KiWiWhitebox, ReclamationKeepsFrozenChunksForReaders) {

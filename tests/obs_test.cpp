@@ -355,21 +355,5 @@ TEST(DebugReport, SnapshotViewShowsUpInGauges) {
   EXPECT_EQ(map.DebugReport().gauges.snapshot_pins, 0u);
 }
 
-TEST(DebugReport, LegacyStatsMatchesRegistry) {
-  core::KiWiMap map;
-  for (Key k = 1; k <= 50'000; ++k) map.Put(k % 5'000 + 1, k);
-  const core::KiWiStats legacy = map.Stats();
-  const obs::DebugReport report = map.DebugReport();
-  EXPECT_EQ(legacy.rebalances, report.counters.rebalances);
-  EXPECT_EQ(legacy.put_restarts, report.counters.put_restarts);
-  EXPECT_EQ(legacy.chunks_created, report.counters.chunks_created);
-  EXPECT_EQ(legacy.chunks_retired, report.counters.chunks_retired);
-  EXPECT_EQ(legacy.puts_helped, report.counters.puts_helped);
-#if KIWI_OBS_ENABLED
-  EXPECT_EQ(report.counters.puts, 50'000u);
-  EXPECT_GT(report.counters.rebalances, 0u);
-#endif
-}
-
 }  // namespace
 }  // namespace kiwi

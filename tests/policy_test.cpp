@@ -70,7 +70,6 @@ TEST(Policy, ConfigDefaultsMatchPaper) {
   EXPECT_DOUBLE_EQ(config.rebalance_probability, 0.15);
   EXPECT_DOUBLE_EQ(config.batched_prefix_min_ratio, 0.625);
   EXPECT_DOUBLE_EQ(config.fill_ratio, 0.5);
-  EXPECT_FALSE(config.enable_put_piggyback);  // §6.1: restarts instead
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit + stress tests for the reclamation backends (EBR, hazard pointers).
+// Unit + stress tests for epoch-based reclamation (EBR).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "reclaim/ebr.h"
-#include "reclaim/hazard.h"
 
 namespace kiwi::reclaim {
 namespace {
@@ -123,78 +122,6 @@ TEST(Ebr, SwapAndReadStress) {
   // Everything else must drain by destruction (checked by Tracked count).
   ebr.CollectAllQuiescent();
   EXPECT_EQ(alive.load(), 0);
-}
-
-TEST(Hazard, ProtectedObjectSurvivesCollect) {
-  HazardDomain domain;
-  std::atomic<int> alive{0};
-  auto* object = new Tracked(alive);
-  std::atomic<Tracked*> source{object};
-  HazardPointer hp(domain);
-  Tracked* protected_ptr = hp.ProtectFrom(source);
-  EXPECT_EQ(protected_ptr, object);
-  domain.RetireObject(object);
-  EXPECT_EQ(domain.Collect(), 0u);  // protected: must not free
-  EXPECT_EQ(alive.load(), 1);
-  hp.Clear();
-  EXPECT_EQ(domain.Collect(), 1u);
-  EXPECT_EQ(alive.load(), 0);
-}
-
-TEST(Hazard, ProtectFromRestartsOnMove) {
-  HazardDomain domain;
-  std::atomic<int> alive{0};
-  auto* a = new Tracked(alive);
-  auto* b = new Tracked(alive);
-  std::atomic<Tracked*> source{a};
-  HazardPointer hp(domain);
-  // Single-threaded: ProtectFrom returns whatever is current.
-  EXPECT_EQ(hp.ProtectFrom(source), a);
-  source.store(b);
-  EXPECT_EQ(hp.ProtectFrom(source), b);
-  delete a;
-  delete b;
-}
-
-TEST(Hazard, SlotsReleasedOnDestruction) {
-  HazardDomain domain(2);
-  for (int round = 0; round < 10; ++round) {
-    HazardPointer first(domain);
-    HazardPointer second(domain);
-    // A third acquisition in the same scope would abort (2 per thread);
-    // destruction at scope end must recycle both.
-  }
-  SUCCEED();
-}
-
-TEST(Hazard, SwapAndReadStress) {
-  HazardDomain domain;
-  std::atomic<int> alive{0};
-  std::atomic<Tracked*> shared{new Tracked(alive)};
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&] {
-      HazardPointer hp(domain);
-      while (!stop.load(std::memory_order_acquire)) {
-        Tracked* current = hp.ProtectFrom(shared);
-        ASSERT_GE(current->alive.load(), 1);
-        hp.Clear();
-      }
-    });
-  }
-  std::thread writer([&] {
-    for (int i = 0; i < 20000; ++i) {
-      auto* fresh = new Tracked(alive);
-      Tracked* old = shared.exchange(fresh, std::memory_order_acq_rel);
-      domain.RetireObject(old);
-    }
-    stop.store(true, std::memory_order_release);
-  });
-  writer.join();
-  for (auto& reader : readers) reader.join();
-  delete shared.load();
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST(Soak, OversubscribedAllOps) {
   EXPECT_GT(scan_keys.load(), 0u);
 #if KIWI_OBS_ENABLED
   // Counters read zero in a KIWI_STATS=OFF build.
-  EXPECT_GT(map.Stats().rebalances, 100u);
+  EXPECT_GT(map.DebugReport().counters.rebalances, 100u);
 #endif
 }
 
