@@ -4,7 +4,7 @@
 // per-chunk merge.
 #include "bench_common.h"
 #include "core/kiwi_map.h"
-#include "obs/census.h"
+#include "obs/report.h"
 
 using namespace kiwi;
 
@@ -35,14 +35,14 @@ int main(int argc, char** argv) {
     const harness::RoleResult& role = result.Role("mixed");
     auto& kiwi_map =
         static_cast<api::MapAdapter<core::KiWiMap>&>(*map).Underlying();
-    const obs::OpCounters stats = kiwi_map.DebugReport().counters;
+    const obs::DebugReport report = kiwi_map.DebugReport();
     harness::EmitCsv("ablation_chunk_size", "mixed",
                      static_cast<double>(capacity), role.KeysPerSec() / 1e6,
                      "Mkeys/s");
     harness::Note("  capacity=" + std::to_string(capacity) + " -> " +
                   harness::FormatMps(role.KeysPerSec()) + ", rebalances=" +
-                  std::to_string(stats.rebalances) + ", chunks=" +
-                  std::to_string(kiwi_map.Census().chunks));
+                  std::to_string(report.counters.rebalances) + ", chunks=" +
+                  std::to_string(report.census.chunks));
   }
   return 0;
 }

@@ -4,7 +4,7 @@
 // more, sparser chunks behind.
 #include "bench_common.h"
 #include "core/kiwi_map.h"
-#include "obs/census.h"
+#include "obs/report.h"
 
 using namespace kiwi;
 
@@ -21,13 +21,13 @@ void RunConfig(const bench::BenchConfig& config, const std::string& label,
   const harness::RunResult result = harness::RunWorkload(*map, roles, options);
   auto& kiwi_map =
       static_cast<api::MapAdapter<core::KiWiMap>&>(*map).Underlying();
-  const obs::OpCounters stats = kiwi_map.DebugReport().counters;
+  const obs::DebugReport report = kiwi_map.DebugReport();
   const double put_mops = result.Role("put").OpsPerSec() / 1e6;
   harness::EmitCsv("ablation_features", label, 0, put_mops, "Mops/s");
   harness::Note("  " + label + ": put=" + harness::FormatMps(put_mops * 1e6) +
-                " rebalances=" + std::to_string(stats.rebalances) +
-                " restarts=" + std::to_string(stats.put_restarts) +
-                " chunks=" + std::to_string(kiwi_map.Census().chunks));
+                " rebalances=" + std::to_string(report.counters.rebalances) +
+                " restarts=" + std::to_string(report.counters.put_restarts) +
+                " chunks=" + std::to_string(report.census.chunks));
 }
 
 }  // namespace

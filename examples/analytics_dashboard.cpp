@@ -20,7 +20,7 @@
 
 #include "common/random.h"
 #include "core/kiwi_map.h"
-#include "obs/census.h"
+#include "obs/report.h"
 
 using kiwi::Key;
 using kiwi::Value;
@@ -130,8 +130,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ingested.load()),
               static_cast<unsigned long long>(reports.load()),
               static_cast<unsigned long long>(max_observed_deviation.load()));
-  std::printf("map: %zu keys in %llu chunks, %zu bytes\n", map.Size(),
-              static_cast<unsigned long long>(map.Census().chunks),
-              map.MemoryFootprint());
+  const kiwi::obs::DebugReport report = map.DebugReport();
+  std::printf("map: %zu keys in %llu chunks, %llu bytes\n", map.Size(),
+              static_cast<unsigned long long>(report.census.chunks),
+              static_cast<unsigned long long>(report.gauges.memory_bytes));
   return 0;
 }

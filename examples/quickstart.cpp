@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "core/kiwi_map.h"
-#include "obs/census.h"
+#include "obs/report.h"
 
 using kiwi::Key;
 using kiwi::Value;
@@ -70,11 +70,11 @@ int main() {
               checked);
 
   // --- introspection -------------------------------------------------------
-  std::printf("size=%zu chunks=%llu rebalances=%llu footprint=%zu bytes\n",
+  const kiwi::obs::DebugReport report = map.DebugReport();
+  std::printf("size=%zu chunks=%llu rebalances=%llu footprint=%llu bytes\n",
               map.Size(),
-              static_cast<unsigned long long>(map.Census().chunks),
-              static_cast<unsigned long long>(
-                  map.DebugReport().counters.rebalances),
-              map.MemoryFootprint());
+              static_cast<unsigned long long>(report.census.chunks),
+              static_cast<unsigned long long>(report.counters.rebalances),
+              static_cast<unsigned long long>(report.gauges.memory_bytes));
   return 0;
 }

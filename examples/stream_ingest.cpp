@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/kiwi_map.h"
-#include "obs/census.h"
+#include "obs/report.h"
 
 using kiwi::Key;
 using kiwi::Value;
@@ -81,10 +81,10 @@ int main(int argc, char** argv) {
   std::printf("served %llu sliding windows (%.0f samples avg)\n",
               static_cast<unsigned long long>(windows),
               windows > 0 ? static_cast<double>(window_samples) / windows : 0);
+  const kiwi::obs::DebugReport report = map.DebugReport();
   std::printf("chunks=%llu rebalances(splits)=%llu — ordered insertion kept "
               "balanced\n",
-              static_cast<unsigned long long>(map.Census().chunks),
-              static_cast<unsigned long long>(
-                  map.DebugReport().counters.rebalances));
+              static_cast<unsigned long long>(report.census.chunks),
+              static_cast<unsigned long long>(report.counters.rebalances));
   return 0;
 }

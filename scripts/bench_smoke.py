@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CI bench smoke: run the fast benches, emit BENCH_ci.json, gate regressions.
 
-Runs micro_ops (kiwi series only), fig3_basic, and fig_ingest at a
-deliberately small scale, collects the kiwi numbers into one JSON artifact
+Runs micro_ops (kiwi series only), micro_ops_bytes, fig3_basic, and
+fig_ingest at a deliberately small scale, collects the kiwi numbers into one JSON artifact
 (throughputs plus the fig_ingest batch/put speed-up ratios), and —
 when a checked-in baseline exists — fails if any metric regressed beyond
 the tolerance (default 25%, override with BENCH_SMOKE_TOLERANCE).
@@ -35,24 +35,15 @@ SMOKE_ENV = {
     "KIWI_BENCH_OBS": "1",
 }
 
-# Contention counters surfaced per bench run in the artifact's "obs"
-# section.  Trajectory only — never gated: retry counts vary wildly with
-# runner load, so they are recorded for trend reading, not thresholds.
-OBS_RETRY_FIELDS = (
-    "put_link_retries",
-    "ppa_publish_fails",
-    "engage_cas_fails",
-    "freeze_cas_retries",
-    "splice_retries",
-    "index_cas_retries",
-)
-
 
 def collect_obs(stdout, obs):
     """Fold `obsjson,<figure>,<series>,<json>` rows into {key: columns}.
 
     A figure emits one row per (series, run); later runs of the same key
-    overwrite earlier ones, so each key holds the final run's numbers."""
+    overwrite earlier ones, so each key holds the final run's numbers.
+    Trajectory only, never gated: retry counts vary wildly with runner
+    load, so they are recorded for trend reading, not thresholds.  Every
+    per-counter value stays in the JSON row itself."""
     for line in stdout.splitlines():
         if not line.startswith("obsjson,"):
             continue
@@ -63,26 +54,27 @@ def collect_obs(stdout, obs):
             continue
         counters = report.get("counters", {})
         gauges = report.get("gauges", {})
-        columns = {f: counters.get(f, 0) for f in OBS_RETRY_FIELDS}
-        columns["retries_total"] = sum(columns.values())
-        columns["put_restarts"] = counters.get("put_restarts", 0)
-        columns["ebr_epoch_lag"] = gauges.get("ebr_epoch_lag", 0)
-        columns["ebr_pending_bytes"] = gauges.get("ebr_pending_bytes", 0)
-        obs[f"{figure}/{series}"] = columns
+        obs[f"{figure}/{series}"] = {
+            "retries_total": counters.get("retries", 0),
+            "put_restarts": counters.get("put_restarts", 0),
+            "ebr_epoch_lag": gauges.get("ebr_epoch_lag", 0),
+            "ebr_pending_bytes": gauges.get("ebr_pending_bytes", 0),
+        }
 
 
-def run_micro_ops(build_dir):
-    """micro_ops kiwi series -> {name: ops_per_second} (higher is better)."""
-    out_path = "micro_ops_ci.json"
+def run_gbench(build_dir, name, *flags):
+    """A google-benchmark binary -> {<name>/<bench>: ops_per_second}.
+
+    The JSON report lands under the build directory."""
+    out_path = os.path.join(build_dir, f"{name}_ci.json")
     cmd = [
-        os.path.join(build_dir, "bench", "micro_ops"),
-        "--benchmark_filter=kKiWi",
+        os.path.join(build_dir, "bench", name),
+        *flags,
         "--benchmark_format=json",
         f"--benchmark_out={out_path}",
         "--benchmark_out_format=json",
     ]
-    env = dict(os.environ, **SMOKE_ENV)
-    subprocess.run(cmd, check=True, env=env)
+    subprocess.run(cmd, check=True, env=dict(os.environ, **SMOKE_ENV))
     with open(out_path) as f:
         report = json.load(f)
     metrics = {}
@@ -93,71 +85,22 @@ def run_micro_ops(build_dir):
         # every metric in the artifact is higher-is-better.
         ns = bench["real_time"]
         if ns > 0:
-            metrics[f"micro_ops/{bench['name']}"] = 1e9 / ns
+            metrics[f"{name}/{bench['name']}"] = 1e9 / ns
     return metrics
 
 
-def run_micro_ops_bytes(build_dir):
-    """micro_ops_bytes (byte-key map) -> {name: ops_per_second}.
+def run_csv_figure(build_dir, name, obs):
+    """A figure bench's kiwi rows -> {<figure>/<series>@<x>: y}.
 
-    The byte layout's arena hot path regresses independently of the
-    fixed-width map (prefix-tie memcmp, arena claims, compaction), so it
-    gets its own gated metrics namespace."""
-    out_path = "micro_ops_bytes_ci.json"
+    fig_ingest's batch_over_put_presorted ratio is the PutBatch acceptance
+    gate: the bulk-build path must stay a multiple (>=2x) of per-op Put,
+    not a percentage (docs/INGEST.md)."""
     cmd = [
-        os.path.join(build_dir, "bench", "micro_ops_bytes"),
-        "--benchmark_format=json",
-        f"--benchmark_out={out_path}",
-        "--benchmark_out_format=json",
-    ]
-    env = dict(os.environ, **SMOKE_ENV)
-    subprocess.run(cmd, check=True, env=env)
-    with open(out_path) as f:
-        report = json.load(f)
-    metrics = {}
-    for bench in report.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        ns = bench["real_time"]
-        if ns > 0:
-            metrics[f"micro_ops_bytes/{bench['name']}"] = 1e9 / ns
-    return metrics
-
-
-def run_fig3(build_dir, obs):
-    """fig3_basic kiwi rows -> {name: Mkeys_per_second}."""
-    cmd = [
-        os.path.join(build_dir, "bench", "fig3_basic"),
+        os.path.join(build_dir, "bench", name),
         "--maps=kiwi",
         "--threads=1,2",
     ]
-    env = dict(os.environ, **SMOKE_ENV)
-    result = subprocess.run(cmd, check=True, env=env,
-                            capture_output=True, text=True)
-    sys.stdout.write(result.stdout)
-    collect_obs(result.stdout, obs)
-    metrics = {}
-    for line in result.stdout.splitlines():
-        parts = line.split(",")
-        if len(parts) == 6 and parts[0] == "csv":
-            _, figure, series, x, y, _unit = parts
-            metrics[f"{figure}/{series}@{x}"] = float(y)
-    return metrics
-
-
-def run_fig_ingest(build_dir, obs):
-    """fig_ingest kiwi rows -> Mkeys/s plus the batch/put speed-up ratios.
-
-    The batch_over_put_presorted ratio is the PutBatch acceptance gate: the
-    bulk-build path must stay a multiple (>=2x) of per-op Put, not a
-    percentage (docs/INGEST.md)."""
-    cmd = [
-        os.path.join(build_dir, "bench", "fig_ingest"),
-        "--maps=kiwi",
-        "--threads=1,2",
-    ]
-    env = dict(os.environ, **SMOKE_ENV)
-    result = subprocess.run(cmd, check=True, env=env,
+    result = subprocess.run(cmd, check=True, env=dict(os.environ, **SMOKE_ENV),
                             capture_output=True, text=True)
     sys.stdout.write(result.stdout)
     collect_obs(result.stdout, obs)
@@ -204,17 +147,21 @@ def main():
 
     metrics = {}
     obs = {}
-    metrics.update(run_micro_ops(args.build))
-    metrics.update(run_micro_ops_bytes(args.build))
-    metrics.update(run_fig3(args.build, obs))
-    metrics.update(run_fig_ingest(args.build, obs))
+    # micro_ops: kiwi series only.  micro_ops_bytes (byte-key map) gets its
+    # own gated namespace: the arena hot path regresses independently.
+    metrics.update(run_gbench(args.build, "micro_ops",
+                              "--benchmark_filter=kKiWi"))
+    metrics.update(run_gbench(args.build, "micro_ops_bytes"))
+    metrics.update(run_csv_figure(args.build, "fig3_basic", obs))
+    metrics.update(run_csv_figure(args.build, "fig_ingest", obs))
 
     artifact = {
         "bench_smoke": 1,
         "env": SMOKE_ENV,
         "tolerance": tolerance,
         "metrics": metrics,
-        # Contention/reclamation trajectory columns (never gated).
+        # Contention/reclamation trajectory columns (never gated); the
+        # retries total is the report's own derived counter.
         "obs": obs,
     }
     with open(args.out, "w") as f:

@@ -2,9 +2,9 @@
 """kiwi_top: live terminal viewer for the KiWi metrics-pump JSONL stream.
 
 Tails the JSONL telemetry a KiWiMap's metrics pump emits (one JSON object
-per line, marked by "kiwi_metrics": 1; see docs/OBSERVABILITY.md) and
-renders a refreshing dashboard: operation rates, contention (retry) rates,
-EBR health, and the chunk fill-factor histogram.
+per line, marked by "kiwi_metrics": 2; see docs/OBSERVABILITY.md) and
+renders a refreshing dashboard: operation rates, the contention (retry)
+rate, EBR health, and the chunk fill-factor histogram.
 
     KIWI_METRICS=1s build/bench/fig4_mixed --maps=kiwi | scripts/kiwi_top.py
     KIWI_METRICS=250ms:/tmp/kiwi.jsonl build/bench/micro_ops &
@@ -24,17 +24,6 @@ import os
 import sys
 import time
 
-# Counter fields summed into the "retries/s" contention figure (matches
-# ObsDigest in src/harness/metrics.cpp).
-RETRY_FIELDS = (
-    "put_link_retries",
-    "ppa_publish_fails",
-    "engage_cas_fails",
-    "freeze_cas_retries",
-    "splice_retries",
-    "index_cas_retries",
-)
-
 OP_FIELDS = ("puts", "removes", "gets", "scans", "rebalances")
 
 FILL_BAR_WIDTH = 30
@@ -49,7 +38,7 @@ def parse_sample(line):
         obj = json.loads(line)
     except ValueError:
         return None
-    if not isinstance(obj, dict) or obj.get("kiwi_metrics") != 1:
+    if not isinstance(obj, dict) or obj.get("kiwi_metrics") != 2:
         return None
     return obj
 
@@ -108,12 +97,8 @@ def render_rows(sample):
         "%s %s" % (name, fmt_rate(rates.get(name, 0.0))) for name in OP_FIELDS
     )
     rows.append("ops:      " + ops)
-    retry_total = sum(rates.get(name, 0.0) for name in RETRY_FIELDS)
-    top = sorted(
-        ((rates.get(name, 0.0), name) for name in RETRY_FIELDS), reverse=True
-    )[:3]
-    detail = "  ".join("%s %s" % (name, fmt_rate(rate)) for rate, name in top)
-    rows.append("retries:  total %s  (%s)" % (fmt_rate(retry_total), detail))
+    # The pump's derived total over the retried-CAS counters.
+    rows.append("retries:  %s" % fmt_rate(rates.get("retries", 0.0)))
     rows.append(
         "ebr:      epoch %s  lag %s  pending %s (%s)"
         % (
@@ -127,8 +112,8 @@ def render_rows(sample):
         "memory:   %s  chunks %s  avg_fill %.2f  engaged %s"
         % (
             fmt_bytes(float(gauges.get("memory_bytes", 0))),
-            gauges.get("chunks", 0),
-            gauges.get("avg_fill", 0.0),
+            census.get("chunks", 0),
+            census.get("avg_fill", 0.0),
             census.get("engaged", 0),
         )
     )

@@ -33,7 +33,8 @@ BAR_WIDTH = 44
 OBS_COUNTERS = (
     "puts", "gets", "scans", "rebalances", "puts_helped", "put_restarts",
 )
-OBS_GAUGES = ("chunks", "batched_ratio", "ebr_pending")
+OBS_GAUGES = ("ebr_pending",)
+OBS_CENSUS = ("chunks", "batched_ratio")
 
 
 def parse(lines):
@@ -131,13 +132,14 @@ def render_reports(name, rows):
                   f"{format_count(summary['count']):>7} "
                   f"{summary['p50']:>7} {summary['p99']:>7} "
                   f"{summary['p999']:>8} {summary['max']:>9}")
-        counters = report.get("counters", {})
-        gauges = report.get("gauges", {})
-        notes = [f"{key}={format_count(counters[key])}"
-                 for key in OBS_COUNTERS if counters.get(key)]
-        notes += [f"{key}={gauges[key]:g}" if isinstance(gauges.get(key), float)
-                  else f"{key}={format_count(gauges[key])}"
-                  for key in OBS_GAUGES if gauges.get(key)]
+        notes = []
+        for section, keys in (("counters", OBS_COUNTERS),
+                              ("census", OBS_CENSUS),
+                              ("gauges", OBS_GAUGES)):
+            values = report.get(section, {})
+            notes += [f"{key}={values[key]:g}" if isinstance(values[key], float)
+                      else f"{key}={format_count(values[key])}"
+                      for key in keys if values.get(key)]
         if first:  # stats compiled out: no latency rows at all
             print(f"  {series:<28} (stats disabled: KIWI_STATS=OFF build)")
         if notes:

@@ -26,8 +26,8 @@
 //   * Values are arbitrary byte strings, empty included.  Remove writes an
 //     explicit tombstone record (a reserved length sentinel in the cell, no
 //     arena bytes), exactly the paper's put(⊥).
-//   * One entry's key + value must fit KiWiConfig::bytes.max_entry_bytes
-//     (clamped to a quarter of the per-chunk arena).
+//   * One entry's key + value must fit core::kMaxEntryBytes (4096, clamped
+//     to a quarter of the per-chunk arena).
 //   * The map copies keys and values on Put; callers keep ownership of the
 //     viewed buffers.  Views handed to scan callbacks point into chunk
 //     storage pinned by the scan's guard — valid only inside the callback.

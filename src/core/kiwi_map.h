@@ -50,7 +50,6 @@
 #include "reclaim/pool.h"
 
 namespace kiwi::obs {
-struct ChunkCensus;
 class MetricsPump;
 struct MetricsPumpOptions;
 }  // namespace kiwi::obs
@@ -91,8 +90,9 @@ class KiWiMapT {
   /// Insert or overwrite.  Lock-free.  `key` must be a user key (int64:
   /// >= kMinUserKey; bytes: non-empty) and `value` must not be the reserved
   /// tombstone (int64: kTombstoneValue; bytes: any value is legal).  For
-  /// byte layouts key + value must fit Config().bytes.max_entry_bytes; the
-  /// map copies both, so callers keep ownership of the viewed buffers.
+  /// byte layouts key + value must fit kMaxEntryBytes (clamped to a quarter
+  /// of the chunk arena); the map copies both, so callers keep ownership of
+  /// the viewed buffers.
   void Put(KeyView key, ValueView value);
 
   /// Insert or overwrite every pair of `entries` — equivalent to calling
@@ -189,23 +189,24 @@ class KiWiMapT {
   /// Approximate bytes held by chunks + index (Figure 5 metric).
   std::size_t MemoryFootprint();
 
-  /// Full observability snapshot: counters, latency histograms and
-  /// structural-health gauges, renderable as text or one-line JSON.  See
-  /// docs/OBSERVABILITY.md.  Concurrent callers get a consistent-enough
-  /// estimate; quiescent callers exact numbers.
+  /// Full observability snapshot: counters, latency histograms, the chunk
+  /// census and structural-health gauges, renderable as text or one-line
+  /// JSON, from one walk of the chunk list.  See docs/OBSERVABILITY.md.
+  /// Concurrent callers get a consistent-enough estimate; quiescent callers
+  /// exact numbers (then gauges.memory_bytes == MemoryFootprint()).
   obs::DebugReport DebugReport();
 
   /// Chunk-health census: one O(chunks) epoch-guarded walk of the list,
   /// reporting chunk and cell counts, per-chunk fill factor, sorted-prefix
-  /// vs linked-suffix ratio, arena fill (byte layouts), pending-rebalance
-  /// state and age, as means and distribution histograms.  The one
-  /// structural report: DebugReport's structure gauges come from it.  Live
+  /// vs linked-suffix ratio, arena fill (byte layouts), slab bytes,
+  /// pending-rebalance state and age, as means and distribution
+  /// histograms.  The one structural report: DebugReport carries it.  Live
   /// regardless of KIWI_STATS (like the gauges).  Defined in
   /// obs/census.cpp so core objects carry no obs references.
   obs::ChunkCensus Census();
 
   /// Start the continuous-telemetry pump: a background thread snapshotting
-  /// DebugReport + Census every `options.interval`, computing deltas/rates,
+  /// DebugReport every `options.interval`, computing deltas/rates,
   /// appending JSONL and serving Prometheus text exposition.  At most one
   /// pump per map; returns false if one is already running.  Defined in
   /// obs/export.cpp; see docs/OBSERVABILITY.md ("Continuous telemetry").
@@ -226,9 +227,6 @@ class KiWiMapT {
 #endif
 
   const KiWiConfig& Config() const { return policy_.config(); }
-
-  /// Per-chunk arena bytes for this layout (0 for fixed-width layouts).
-  std::uint32_t ArenaCapacity() const { return arena_capacity_; }
 
   /// Test/diagnostic hook: run a full rebalance over every chunk, forcing
   /// compaction of obsolete versions.  Quiescent callers only.
@@ -298,6 +296,9 @@ class KiWiMapT {
   /// Chunk that currently covers `key` (index lookup + list walk).
   /// Must be called under an EBR guard.
   Chunk* LocateChunk(KeyView key) const;
+
+  /// MemoryFootprint() minus the data chunks: index, map header, sentinel.
+  std::size_t FixedFootprint() const;
 
   /// What CheckRebalance asks of a writer about to claim cells in a chunk.
   enum class Trigger {
@@ -387,7 +388,8 @@ class KiWiMapT {
   Psa snapshot_psa_[kMaxSnapshotsPerThread];
   Chunk* sentinel_;  // permanent list head, never engaged
   /// Arena bytes per chunk (chunk_capacity * bytes.arena_bytes_per_cell for
-  /// byte layouts, 0 for fixed-width) and the clamped per-entry byte cap.
+  /// byte layouts, 0 for fixed-width) and the per-entry byte cap
+  /// (kMaxEntryBytes clamped to a quarter of the arena).
   std::uint32_t arena_capacity_ = 0;
   std::uint32_t max_entry_bytes_ = 0;
 

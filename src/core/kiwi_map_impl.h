@@ -33,8 +33,7 @@ KiWiMapT<Layout>::KiWiMapT(KiWiConfig config)
     // One entry must never render a rebalance target unsatisfiable: cap it
     // at a quarter of the arena so a half-filled replacement chunk always
     // has byte headroom for its segment.
-    max_entry_bytes_ =
-        std::min(config.bytes.max_entry_bytes, arena_capacity_ / 4);
+    max_entry_bytes_ = std::min(kMaxEntryBytes, arena_capacity_ / 4);
     KIWI_ASSERT(max_entry_bytes_ >= 1, "max_entry_bytes clamped to zero");
   }
   // Permanent sentinel head (minKey = -inf, capacity 0, never engaged) plus
@@ -57,15 +56,15 @@ KiWiMapT<Layout>::KiWiMapT(std::span<const Entry> sorted_entries,
   // rebalance would produce, and index them eagerly.
   const std::uint32_t capacity = config.chunk_capacity;
   const std::uint32_t fill = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(config.fill_ratio * capacity));
-  // Byte layouts additionally budget each chunk's arena to fill_ratio so
+      1, static_cast<std::uint32_t>(kFillRatio * capacity));
+  // Byte layouts additionally budget each chunk's arena to kFillRatio so
   // post-load puts have byte headroom, mirroring the cell fill — clamped to
   // always leave one max-size entry of headroom (same livelock guard as the
   // rebalance build carve, see rebalance_impl.h).
   [[maybe_unused]] const std::size_t arena_fill = std::min<std::size_t>(
       std::max<std::size_t>(
           max_entry_bytes_,
-          static_cast<std::size_t>(config.fill_ratio * arena_capacity_)),
+          static_cast<std::size_t>(kFillRatio * arena_capacity_)),
       arena_capacity_ - max_entry_bytes_);
   Chunk* tail = sentinel_->Next();  // the initial empty chunk
   std::size_t begin = 0;
@@ -831,10 +830,16 @@ std::size_t KiWiMapT<Layout>::Size() {
 }
 
 template <typename Layout>
+std::size_t KiWiMapT<Layout>::FixedFootprint() const {
+  return index_.MemoryFootprint() + sizeof(*this) +
+         sentinel_->MemoryFootprint();
+}
+
+template <typename Layout>
 std::size_t KiWiMapT<Layout>::MemoryFootprint() {
   reclaim::EbrGuard guard(ebr_);
-  std::size_t bytes = index_.MemoryFootprint() + sizeof(*this);
-  for (Chunk* c = sentinel_; c != nullptr; c = c->Next()) {
+  std::size_t bytes = FixedFootprint();
+  for (Chunk* c = sentinel_->Next(); c != nullptr; c = c->Next()) {
     bytes += c->MemoryFootprint();
   }
   return bytes;

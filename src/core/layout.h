@@ -43,16 +43,17 @@
 
 namespace kiwi::core {
 
+/// Hard cap on key bytes + value bytes for a single byte-map entry, checked
+/// at Put.  The map additionally clamps it to a quarter of the per-chunk
+/// arena so one entry can never render a rebalance target unsatisfiable.
+inline constexpr std::uint32_t kMaxEntryBytes = 4096;
+
 /// Sizing knobs for the ByteLayout arena, carried by KiWiConfig.
 struct ByteConfig {
   /// Arena capacity per chunk = chunk_capacity * this.  64 bytes per cell
   /// comfortably fits short keys plus small document values; raise it for
   /// blob-heavy workloads (a full arena just triggers rebalance earlier).
   std::uint32_t arena_bytes_per_cell = 64;
-  /// Hard cap on key bytes + value bytes for a single entry, checked at
-  /// Put.  The map additionally clamps it to a quarter of the per-chunk
-  /// arena so one entry can never render a rebalance target unsatisfiable.
-  std::uint32_t max_entry_bytes = 4096;
 };
 
 // ---- Int64Layout ---------------------------------------------------------

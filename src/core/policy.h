@@ -17,6 +17,13 @@
 
 namespace kiwi::core {
 
+/// Rebalance builds new chunks filled to this fraction of capacity (paper:
+/// one half).
+inline constexpr double kFillRatio = 0.5;
+/// A trailing new chunk below this fraction of capacity is folded into its
+/// predecessor (paper: one quarter).
+inline constexpr double kSparseRatio = 0.25;
+
 /// User-visible construction parameters of a KiWiMap.
 struct KiWiConfig {
   /// Data cells per chunk (paper: 1024).
@@ -27,11 +34,6 @@ struct KiWiConfig {
   /// A chunk is "unbalanced" when batched prefix < this fraction of its
   /// allocated cells (paper: 0.625).
   double batched_prefix_min_ratio = 0.625;
-  /// New chunks are filled to this fraction of capacity (paper: one half).
-  double fill_ratio = 0.5;
-  /// A trailing new chunk below this fraction is folded into its
-  /// predecessor (paper: one quarter).
-  double sparse_ratio = 0.25;
   /// Maximum chunks engaged by one rebalance (bounds the freeze window).
   std::uint32_t max_engaged_chunks = 8;
   /// Arena sizing for byte-layout maps (KiWiByteMap); ignored by the
@@ -65,7 +67,7 @@ class RebalancePolicy {
                         std::uint32_t next_cells) const {
     if (engaged_chunks >= config_.max_engaged_chunks) return false;
     const std::uint64_t per_chunk = std::uint64_t(
-        config_.fill_ratio * static_cast<double>(config_.chunk_capacity));
+        kFillRatio * static_cast<double>(config_.chunk_capacity));
     const std::uint64_t total = engaged_cells + next_cells;
     const std::uint64_t projected = (total + per_chunk - 1) / per_chunk;
     return projected <= engaged_chunks;  // engaging yields <= engaged chunks

@@ -473,7 +473,7 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
     }
   }
 
-  // Carve into infant chunks, filled to fill_ratio, never splitting one
+  // Carve into infant chunks, filled to kFillRatio, never splitting one
   // key's version run across a boundary (a get must find every version of
   // its key in the single chunk covering it).  Byte layouts budget each
   // segment's arena bytes (min_key copy + keys + values) to the same fill
@@ -481,18 +481,17 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
   // headroom.
   const std::uint32_t capacity = policy_.config().chunk_capacity;
   const std::uint32_t fill = std::clamp<std::uint32_t>(
-      static_cast<std::uint32_t>(policy_.config().fill_ratio * capacity), 1,
-      capacity);
-  const std::uint32_t sparse = static_cast<std::uint32_t>(
-      policy_.config().sparse_ratio * capacity);
+      static_cast<std::uint32_t>(kFillRatio * capacity), 1, capacity);
+  const std::uint32_t sparse =
+      static_cast<std::uint32_t>(kSparseRatio * capacity);
   // Budgeted to the fill fraction but always leaving one max-size entry of
   // headroom: a rebuilt chunk must be able to absorb the very put whose
   // arena overflow triggered the rebalance, or that put re-triggers it
   // forever (livelock).  max_entry_bytes_ <= arena/4 keeps the clamp sane.
   [[maybe_unused]] const std::size_t arena_fill = std::min<std::size_t>(
       std::max<std::size_t>(
-          max_entry_bytes_, static_cast<std::size_t>(
-                                policy_.config().fill_ratio * arena_capacity_)),
+          max_entry_bytes_,
+          static_cast<std::size_t>(kFillRatio * arena_capacity_)),
       arena_capacity_ - max_entry_bytes_);
 
   struct Segment {

@@ -112,7 +112,7 @@ ScenarioResult RunEngageStragglerScenario() {
 
   // Layout: four chunks [1-4][5-8][9-12][13-16] at capacity 8 (bulk fill
   // ratio 1/2), then sparsify the first three to one live cell each.  With
-  // per-replacement-chunk budget fill_ratio*capacity = 4 cells, the engage
+  // per-replacement-chunk budget kFillRatio*capacity = 4 cells, the engage
   // policy approves merging adjacent one-cell chunks, and max_engaged=2
   // forces the cap seal the disagreement window needs (policy-based seals
   // are arithmetically consistent across helpers; only the cap seal can

@@ -57,35 +57,6 @@ bool ParseUintList(const std::string& text, std::vector<std::uint64_t>* out) {
   return !out->empty();
 }
 
-std::string DebugReportJson(api::IOrderedMap& map) {
-  core::KiWiMap* kiwi = AsKiwi(map);
-  return kiwi != nullptr ? kiwi->DebugReport().ToJson() : std::string();
-}
-
-std::string ObsDigest(api::IOrderedMap& map) {
-  core::KiWiMap* kiwi = AsKiwi(map);
-  if (kiwi == nullptr) return {};
-  const obs::DebugReport report = kiwi->DebugReport();
-  // One contention figure for the digest: every lost/retried CAS across the
-  // put, PPA, rebalance and index hot loops.
-  const obs::OpCounters& c = report.counters;
-  const unsigned long long retries =
-      c.put_link_retries + c.ppa_publish_fails + c.engage_cas_fails +
-      c.freeze_cas_retries + c.splice_retries + c.index_cas_retries;
-  char buffer[320];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "obs: puts=%llu gets=%llu scans=%llu rebalances=%llu restarts=%llu "
-      "retries=%llu chunks=%llu ebr_pending=%llu ebr_lag=%llu",
-      (unsigned long long)c.puts, (unsigned long long)c.gets,
-      (unsigned long long)c.scans, (unsigned long long)c.rebalances,
-      (unsigned long long)c.put_restarts, retries,
-      (unsigned long long)report.gauges.chunks,
-      (unsigned long long)report.gauges.ebr_pending,
-      (unsigned long long)report.gauges.ebr_epoch_lag);
-  return buffer;
-}
-
 bool StartEnvMetricsPump(api::IOrderedMap& map) {
   core::KiWiMap* kiwi = AsKiwi(map);
   return kiwi != nullptr && kiwi->StartMetricsPumpFromEnv();
@@ -93,10 +64,10 @@ bool StartEnvMetricsPump(api::IOrderedMap& map) {
 
 bool EmitObsJson(const std::string& figure, const std::string& series,
                  api::IOrderedMap& map) {
-  const std::string json = DebugReportJson(map);
-  if (json.empty()) return false;
+  core::KiWiMap* kiwi = AsKiwi(map);
+  if (kiwi == nullptr) return false;
   std::printf("obsjson,%s,%s,%s\n", figure.c_str(), series.c_str(),
-              json.c_str());
+              kiwi->DebugReport().ToJson().c_str());
   std::fflush(stdout);
   return true;
 }

@@ -36,18 +36,11 @@ std::string FormatMb(std::size_t bytes);
 /// Parse "a,b,c" into integers (bench CLI helper).
 bool ParseUintList(const std::string& text, std::vector<std::uint64_t>* out);
 
-/// KiWi's DebugReport (the obs::StatsRegistry + structural gauges) as
-/// one-line JSON; "" when `map` is not a KiWi instance.  This is the only
+/// Emit KiWi's DebugReport as the `obsjson,<figure>,<series>,<json>`
+/// protocol row (schema in docs/OBSERVABILITY.md, consumed by
+/// scripts/render_results.py and scripts/bench_smoke.py).  This is the only
 /// path by which harness/bench reporting reads observability state.
-std::string DebugReportJson(api::IOrderedMap& map);
-
-/// One-line human digest of the same registry (counters + structure), or
-/// "" for non-KiWi maps.  Suitable for Note().
-std::string ObsDigest(api::IOrderedMap& map);
-
-/// Emit the `obsjson,<figure>,<series>,<json>` protocol row (schema in
-/// docs/OBSERVABILITY.md, consumed by scripts/render_results.py).  Returns
-/// true if a row was emitted (i.e. `map` is KiWi).
+/// Returns true if a row was emitted (i.e. `map` is KiWi).
 bool EmitObsJson(const std::string& figure, const std::string& series,
                  api::IOrderedMap& map);
 

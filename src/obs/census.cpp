@@ -4,62 +4,42 @@
 #include "obs/census.h"
 
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
 
 #include "core/kiwi_map.h"
 #include "core/rebalance_object.h"
+#include "obs/render.h"
 
 namespace kiwi::obs {
 
 namespace {
 
-void Append(std::string& out, const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  const int written = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  if (written > 0) out.append(buffer, static_cast<std::size_t>(written));
-}
-
+// "<name>":[d0,...,d9], — trailing comma included.
 void AppendHist(std::string& out, const char* name,
                 const std::array<std::uint64_t, ChunkCensus::kDecileBuckets>&
                     hist) {
   Append(out, "\"%s\":[", name);
-  for (std::size_t i = 0; i < hist.size(); ++i) {
-    Append(out, "%llu%s", (unsigned long long)hist[i],
-           i + 1 < hist.size() ? "," : "");
+  for (const std::uint64_t bucket : hist) {
+    Append(out, "%llu,", (unsigned long long)bucket);
   }
-  out += "]";
+  out.back() = ']';
+  out += ',';
 }
 
 }  // namespace
 
 std::string ChunkCensus::ToJson() const {
-  std::string out;
-  out += "{";
+  std::string out = "{";
+#define KIWI_OBS_EMIT_CENSUS(name) \
+  Append(out, "\"%s\":%llu,", #name, (unsigned long long)name);
+  KIWI_OBS_CENSUS_FIELDS(KIWI_OBS_EMIT_CENSUS)
+#undef KIWI_OBS_EMIT_CENSUS
   Append(out,
-         "\"chunks\":%llu,\"infant\":%llu,\"normal\":%llu,\"frozen\":%llu,"
-         "\"engaged\":%llu,",
-         (unsigned long long)chunks, (unsigned long long)infant,
-         (unsigned long long)normal, (unsigned long long)frozen,
-         (unsigned long long)engaged);
-  Append(out,
-         "\"allocated_cells\":%llu,\"batched_cells\":%llu,"
-         "\"avg_fill\":%.17g,\"batched_ratio\":%.17g,",
-         (unsigned long long)allocated_cells,
-         (unsigned long long)batched_cells, avg_fill, batched_ratio);
+         "\"avg_fill\":%.17g,\"batched_ratio\":%.17g,\"age_mean_ns\":%.17g,",
+         avg_fill, batched_ratio, age_mean_ns);
   AppendHist(out, "fill_hist", fill_hist);
-  out += ",";
   AppendHist(out, "batched_hist", batched_hist);
-  Append(out, ",\"arena_used_bytes\":%llu,\"arena_capacity_bytes\":%llu,",
-         (unsigned long long)arena_used_bytes,
-         (unsigned long long)arena_capacity_bytes);
   AppendHist(out, "arena_hist", arena_hist);
-  Append(out, ",\"age_min_ns\":%llu,\"age_max_ns\":%llu,\"age_mean_ns\":%.17g}",
-         (unsigned long long)age_min_ns, (unsigned long long)age_max_ns,
-         age_mean_ns);
+  out.back() = '}';
   return out;
 }
 
@@ -95,6 +75,7 @@ obs::ChunkCensus KiWiMapT<Layout>::Census() {
     const std::uint64_t allocated = c->AllocatedCells();
     census.allocated_cells += allocated;
     census.batched_cells += c->batched_count;
+    census.slab_bytes += c->MemoryFootprint();
     const double fill =
         c->capacity > 0 ? static_cast<double>(allocated) / c->capacity : 0;
     census.fill_hist[obs::ChunkCensus::DecileFor(fill)]++;

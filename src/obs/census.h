@@ -15,6 +15,24 @@
 #include <cstdint>
 #include <string>
 
+// Every integer ChunkCensus scalar, in the canonical (wire/JSON) order.
+// This list drives ToJson, DebugReport::ToText and the Prometheus gauge
+// names (kiwi_census_<name>); the double means and the decile histograms
+// are rendered explicitly after it.
+#define KIWI_OBS_CENSUS_FIELDS(X) \
+  X(chunks)                       \
+  X(infant)                       \
+  X(normal)                       \
+  X(frozen)                       \
+  X(engaged)                      \
+  X(allocated_cells)              \
+  X(batched_cells)                \
+  X(arena_used_bytes)             \
+  X(arena_capacity_bytes)         \
+  X(slab_bytes)                   \
+  X(age_min_ns)                   \
+  X(age_max_ns)
+
 namespace kiwi::obs {
 
 /// One walk's aggregate.  All ratios are per-chunk values bucketed into
@@ -62,6 +80,11 @@ struct ChunkCensus {
   /// Arena fill per arena-bearing chunk (used / capacity), deciles.  Counts
   /// only chunks with a non-zero arena, so it stays all-zero for int64 maps.
   std::array<std::uint64_t, kDecileBuckets> arena_hist{};
+
+  /// Pool-rounded slab bytes of the walked chunks: the chunk part of
+  /// KiWiMap::MemoryFootprint(), so DebugReport's memory_bytes gauge needs
+  /// no second walk.
+  std::uint64_t slab_bytes = 0;
 
   /// Chunk age (steady-clock ns since Chunk::Create).  Age extremes spot
   /// both churn (max ≈ 0: nothing survives) and stagnation (a hot chunk

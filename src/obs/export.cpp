@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cctype>
 #include <condition_variable>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,45 +18,11 @@
 #include <thread>
 
 #include "core/kiwi_map.h"
+#include "obs/render.h"
 
 namespace kiwi::obs {
 
 namespace {
-
-// printf-append onto a std::string (snprintf-exact formatting: %.17g
-// round-trips doubles, no locale surprises).
-void Append(std::string& out, const char* fmt, ...) {
-  char buffer[320];
-  va_list args;
-  va_start(args, fmt);
-  const int written = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  if (written > 0) out.append(buffer, static_cast<std::size_t>(written));
-}
-
-// Emit {"<field>":<u64>,...} over the counter X-macro list.
-void AppendCounterObject(std::string& out, const OpCounters& c) {
-  out += "{";
-#define KIWI_OBS_EMIT(name) \
-  Append(out, "\"%s\":%llu,", #name, (unsigned long long)c.name);
-  KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_EMIT)
-#undef KIWI_OBS_EMIT
-  out.pop_back();  // trailing comma
-  out += "}";
-}
-
-// Per-second rates, same key set as the counters.
-void AppendRateObject(std::string& out, const OpCounters& deltas,
-                      double interval_s) {
-  const double denom = interval_s > 0 ? interval_s : 1.0;
-  out += "{";
-#define KIWI_OBS_EMIT(name) \
-  Append(out, "\"%s\":%.6g,", #name, static_cast<double>(deltas.name) / denom);
-  KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_EMIT)
-#undef KIWI_OBS_EMIT
-  out.pop_back();
-  out += "}";
-}
 
 /// Process-wide pump instance ids, so interleaved JSONL streams stay
 /// groupable (field "pump"; monotone from 1).
@@ -68,13 +33,11 @@ std::atomic<std::uint64_t> g_next_pump_id{1};
 // ---- aggregator --------------------------------------------------------
 
 MetricsSample MetricsAggregator::Ingest(const DebugReport& report,
-                                        const ChunkCensus& census,
                                         double elapsed_s) {
   MetricsSample sample;
   sample.pump = pump_id_;
   sample.seq = next_seq_++;
   sample.report = report;
-  sample.census = census;
   if (have_prev_) {
     uptime_s_ += elapsed_s;
     sample.interval_s = elapsed_s;
@@ -102,41 +65,23 @@ MetricsSample MetricsAggregator::Ingest(const DebugReport& report,
 
 std::string MetricsSample::ToJsonl() const {
   std::string out;
-  // "kiwi_metrics":1 is the stream marker kiwi_top (and any consumer of a
-  // mixed stdout stream) keys on; bump it if the schema breaks.
-  Append(out, "{\"kiwi_metrics\":1,\"pump\":%llu,\"seq\":%llu,",
+  // "kiwi_metrics" is the stream marker kiwi_top (and any consumer of a
+  // mixed stdout stream) keys on, and the schema version: bump it whenever
+  // the schema breaks.
+  Append(out, "{\"kiwi_metrics\":2,\"pump\":%llu,\"seq\":%llu,",
          (unsigned long long)pump, (unsigned long long)seq);
-  Append(out, "\"uptime_s\":%.6g,\"interval_s\":%.6g,\"stats_enabled\":%s,",
-         uptime_s, interval_s, report.stats_enabled ? "true" : "false");
-  out += "\"counters\":";
-  AppendCounterObject(out, report.counters);
-  out += ",\"deltas\":";
+  Append(out, "\"uptime_s\":%.6g,\"interval_s\":%.6g,\"deltas\":", uptime_s,
+         interval_s);
   AppendCounterObject(out, deltas);
-  out += ",\"rates\":";
-  AppendRateObject(out, deltas, interval_s);
-  // Integer gauges in KIWI_OBS_GAUGE_FIELDS order, then the two doubles —
-  // the same shape as DebugReport::ToJson's "gauges" object.
-  out += ",\"gauges\":{";
-#define KIWI_OBS_EMIT(name) \
-  Append(out, "\"%s\":%llu,", #name, (unsigned long long)report.gauges.name);
-  KIWI_OBS_GAUGE_FIELDS(KIWI_OBS_EMIT)
-#undef KIWI_OBS_EMIT
-  Append(out, "\"avg_fill\":%.17g,\"batched_ratio\":%.17g}",
-         report.gauges.avg_fill, report.gauges.batched_ratio);
-  out += ",\"latency_ns\":{";
-  for (std::size_t i = 0; i < kLatencyCount; ++i) {
-    const LatencySummary& s = report.latency[i];
-    Append(out,
-           "\"%s\":{\"count\":%llu,\"p50\":%llu,\"p99\":%llu,\"p999\":%llu,"
-           "\"max\":%llu,\"mean\":%.17g}%s",
-           LatencyName(static_cast<Latency>(i)), (unsigned long long)s.count,
-           (unsigned long long)s.p50, (unsigned long long)s.p99,
-           (unsigned long long)s.p999, (unsigned long long)s.max, s.mean_ns,
-           i + 1 < kLatencyCount ? "," : "");
-  }
-  out += "},\"census\":";
-  out += census.ToJson();
-  out += "}";
+  out += ",\"rates\":{";
+  const double denom = interval_s > 0 ? interval_s : 1.0;
+  deltas.ForEachRendered([&out, denom](const char* name, std::uint64_t value) {
+    Append(out, "\"%s\":%.6g,", name, static_cast<double>(value) / denom);
+  });
+  out.back() = '}';
+  out += ',';
+  report.AppendJsonFields(out);
+  out += '}';
   return out;
 }
 
@@ -181,25 +126,19 @@ void MetricsSample::WriteProm(std::ostream& out) const {
       << "kiwi_" #name " " << report.gauges.name << "\n";
   KIWI_OBS_GAUGE_FIELDS(KIWI_OBS_EMIT)
 #undef KIWI_OBS_EMIT
-  out << "# TYPE kiwi_avg_fill gauge\nkiwi_avg_fill " << report.gauges.avg_fill
-      << "\n";
-  out << "# TYPE kiwi_batched_ratio gauge\nkiwi_batched_ratio "
-      << report.gauges.batched_ratio << "\n";
-  // Census population (the cell totals already surface as gauges above).
-  out << "# TYPE kiwi_census_chunks gauge\nkiwi_census_chunks "
-      << census.chunks << "\n";
-  out << "# TYPE kiwi_census_infant gauge\nkiwi_census_infant "
-      << census.infant << "\n";
-  out << "# TYPE kiwi_census_normal gauge\nkiwi_census_normal "
-      << census.normal << "\n";
-  out << "# TYPE kiwi_census_frozen gauge\nkiwi_census_frozen "
-      << census.frozen << "\n";
-  out << "# TYPE kiwi_census_engaged gauge\nkiwi_census_engaged "
-      << census.engaged << "\n";
-  out << "# TYPE kiwi_census_age_max_ns gauge\nkiwi_census_age_max_ns "
-      << census.age_max_ns << "\n";
-  // Distribution histograms.  The _sum fields are approximations derived
-  // from the per-chunk averages (the census stores deciles, not raw sums).
+  // Census scalars: kiwi_census_<field>.  The two per-chunk means are
+  // the _sum/_count of the decile histograms below, so they get no series
+  // of their own.
+  const ChunkCensus& census = report.census;
+#define KIWI_OBS_EMIT(name)                        \
+  out << "# TYPE kiwi_census_" #name " gauge\n"    \
+      << "kiwi_census_" #name " " << census.name << "\n";
+  KIWI_OBS_CENSUS_FIELDS(KIWI_OBS_EMIT)
+#undef KIWI_OBS_EMIT
+  out << "# TYPE kiwi_census_age_mean_ns gauge\nkiwi_census_age_mean_ns "
+      << census.age_mean_ns << "\n";
+  // Distribution histograms.  Each _sum is the census's per-chunk mean
+  // times chunks (the census stores deciles, not raw sums).
   PromDecileHistogram(out, "kiwi_chunk_fill", census.fill_hist,
                       census.avg_fill * static_cast<double>(census.chunks));
   PromDecileHistogram(out, "kiwi_chunk_batched_ratio", census.batched_hist,
@@ -268,7 +207,7 @@ bool ParseMetricsEnv(const char* spec, const char* prom_path,
 // ---- pump ---------------------------------------------------------------
 
 struct MetricsPump::Impl {
-  MetricsSource source;
+  std::function<DebugReport()> report;
   MetricsPumpOptions options;
   MetricsAggregator agg;
 
@@ -284,9 +223,9 @@ struct MetricsPump::Impl {
   std::thread thread;
   std::chrono::steady_clock::time_point prev;
 
-  Impl(MetricsSource source_arg, MetricsPumpOptions options_arg,
-       std::uint64_t pump_id)
-      : source(std::move(source_arg)),
+  Impl(std::function<DebugReport()> report_arg,
+       MetricsPumpOptions options_arg, std::uint64_t pump_id)
+      : report(std::move(report_arg)),
         options(std::move(options_arg)),
         agg(pump_id) {}
 
@@ -295,9 +234,7 @@ struct MetricsPump::Impl {
     const double elapsed =
         std::chrono::duration<double>(now - prev).count();
     prev = now;
-    const DebugReport report = source.report();
-    const ChunkCensus census = source.census();
-    const MetricsSample sample = agg.Ingest(report, census, elapsed);
+    const MetricsSample sample = agg.Ingest(report(), elapsed);
     if (jsonl != nullptr) {
       const std::string line = sample.ToJsonl();
       std::fwrite(line.data(), 1, line.size(), jsonl);
@@ -336,12 +273,13 @@ struct MetricsPump::Impl {
   }
 };
 
-MetricsPump::MetricsPump(MetricsSource source, MetricsPumpOptions options)
-    : pump_id_(g_next_pump_id.fetch_add(1, std::memory_order_relaxed)) {
+MetricsPump::MetricsPump(std::function<DebugReport()> report,
+                         MetricsPumpOptions options) {
   if (options.interval < std::chrono::milliseconds(1)) {
     options.interval = std::chrono::milliseconds(1);
   }
-  impl_ = new Impl(std::move(source), std::move(options), pump_id_);
+  impl_ = new Impl(std::move(report), std::move(options),
+                   g_next_pump_id.fetch_add(1, std::memory_order_relaxed));
   if (impl_->options.jsonl_path == "-") {
     impl_->jsonl = stdout;
   } else if (!impl_->options.jsonl_path.empty()) {
@@ -397,10 +335,8 @@ template <typename Layout>
 bool KiWiMapT<Layout>::StartMetricsPump(
     const obs::MetricsPumpOptions& options) {
   if (pump_ != nullptr) return false;
-  pump_ = new obs::MetricsPump(
-      obs::MetricsSource{[this] { return this->DebugReport(); },
-                         [this] { return this->Census(); }},
-      options);
+  pump_ = new obs::MetricsPump([this] { return this->DebugReport(); },
+                               options);
   return true;
 }
 

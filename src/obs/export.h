@@ -2,9 +2,8 @@
 //
 // A MetricsPump is an optional background thread that, every `interval`,
 // snapshots a map's DebugReport (cumulative counters, latency digests,
-// gauges) and ChunkCensus, computes counter deltas and per-second rates
-// against the previous tick, and ships the sample out through any of three
-// channels:
+// census, gauges), computes counter deltas and per-second rates against the
+// previous tick, and ships the sample out through any of three channels:
 //
 //   * JSONL — one self-describing JSON object per line appended to a file
 //     ("-" = stdout), the format scripts/kiwi_top.py tails;
@@ -13,10 +12,10 @@
 //     MetricsPump::WriteProm(std::ostream&);
 //   * MetricsSink — an in-process callback per sample.
 //
-// The pump is observation-only: it holds no map locks, and its snapshots
-// cost what DebugReport + Census cost (an O(chunks) walk and a shard sum).
-// It works in a KIWI_STATS=OFF build too — counters and latency read zero
-// there, but gauges and the census stay live.
+// The pump is observation-only: it holds no map locks, and each snapshot
+// costs one DebugReport (one O(chunks) walk and a shard sum).  It works in
+// a KIWI_STATS=OFF build too — counters and latency read zero there, but
+// the census and gauges stay live.
 //
 // Schema and metric names are documented in docs/OBSERVABILITY.md
 // ("Continuous telemetry"); change them together.
@@ -28,7 +27,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "obs/census.h"
 #include "obs/report.h"
 
 namespace kiwi::obs {
@@ -44,8 +42,7 @@ struct MetricsSample {
   double uptime_s = 0;          // seconds since the pump started
   double interval_s = 0;        // measured seconds since the previous sample
 
-  DebugReport report;           // cumulative counters, latency, gauges
-  ChunkCensus census;
+  DebugReport report;  // cumulative counters, latency, census, gauges
 
   /// Counter increments since the previous sample (== report.counters on
   /// the first sample of a pump).
@@ -54,14 +51,16 @@ struct MetricsSample {
   /// True from the second sample on: deltas/rates are meaningful.
   bool have_deltas = false;
 
-  /// One JSONL line (no trailing newline); schema in docs/OBSERVABILITY.md.
+  /// One JSONL line (no trailing newline); schema in docs/OBSERVABILITY.md:
+  /// the pump fields, deltas and rates, then the report's ToJson fields.
   /// Rates are emitted as deltas / interval_s, so they are derivable — the
   /// line carries them pre-computed for dumb consumers (kiwi_top, jq).
   std::string ToJsonl() const;
 
-  /// Prometheus text exposition (# TYPE'd counters, gauges, the census fill
-  /// histogram as a native histogram, latency percentiles as labeled
-  /// gauges).  Counter names follow kiwi_<field>_total, gauges kiwi_<field>.
+  /// Prometheus text exposition (# TYPE'd counters, gauges, census scalars,
+  /// the census fill and batched-ratio deciles as native histograms, latency
+  /// percentiles as labeled gauges), each value once.  Counter names follow
+  /// kiwi_<field>_total, gauges kiwi_<field>, census kiwi_census_<field>.
   void WriteProm(std::ostream& out) const;
 };
 
@@ -90,8 +89,7 @@ class MetricsAggregator {
 
   /// Ingest the next cumulative snapshot taken `elapsed_s` seconds after
   /// the previous one (ignored for the first).  Returns the derived sample.
-  MetricsSample Ingest(const DebugReport& report, const ChunkCensus& census,
-                       double elapsed_s);
+  MetricsSample Ingest(const DebugReport& report, double elapsed_s);
 
  private:
   std::uint64_t pump_id_;
@@ -115,21 +113,16 @@ bool ParseMetricsInterval(const std::string& text,
 bool ParseMetricsEnv(const char* spec, const char* prom_path,
                      MetricsPumpOptions* out);
 
-/// What the pump samples each tick.  The pump is layout-agnostic: any map
-/// instantiation (int64 or bytes) plugs in by binding its DebugReport() and
-/// Census() members; both callables run on the pump thread.
-struct MetricsSource {
-  std::function<DebugReport()> report;
-  std::function<ChunkCensus()> census;
-};
-
 /// The background thread.  Construction starts it; destruction (or Stop())
 /// joins it after one final flush tick, so short runs still produce at
 /// least one sample.  Owned by KiWiMap through an opaque pointer — see
 /// KiWiMap::StartMetricsPump / StopMetricsPump.
 class MetricsPump {
  public:
-  MetricsPump(MetricsSource source, MetricsPumpOptions options);
+  /// `report` is what the pump samples each tick, on the pump thread.  The
+  /// pump is layout-agnostic: any map instantiation (int64 or bytes) plugs
+  /// in by binding its DebugReport() member.
+  MetricsPump(std::function<DebugReport()> report, MetricsPumpOptions options);
   ~MetricsPump();
   MetricsPump(const MetricsPump&) = delete;
   MetricsPump& operator=(const MetricsPump&) = delete;
@@ -145,13 +138,9 @@ class MetricsPump {
   /// The most recent sample (copy).  False before the first tick.
   bool LatestSample(MetricsSample* out) const;
 
-  /// This pump's process-unique id (what the JSONL "pump" field carries).
-  std::uint64_t PumpId() const { return pump_id_; }
-
  private:
   struct Impl;
   Impl* impl_;
-  std::uint64_t pump_id_;
 };
 
 }  // namespace kiwi::obs

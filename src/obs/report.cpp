@@ -6,48 +6,41 @@
 // contract documented in docs/OBSERVABILITY.md — change them together.
 #include "obs/report.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
 
 #include "core/kiwi_map.h"
-#include "obs/census.h"
+#include "obs/render.h"
 
 namespace kiwi::obs {
 
-namespace {
-
-// printf-append onto a std::string (keeps formatting snprintf-exact, which
-// matters for the JSON contract: %.17g round-trips doubles, no locale).
 void Append(std::string& out, const char* fmt, ...) {
-  char buffer[256];
+  char buffer[320];
   va_list args;
   va_start(args, fmt);
   const int written = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
   va_end(args);
-  if (written > 0) out.append(buffer, static_cast<std::size_t>(written));
+  // A longer rendering is truncated rather than read past the buffer.
+  const int kept = std::min<int>(written, sizeof(buffer) - 1);
+  if (kept > 0) out.append(buffer, static_cast<std::size_t>(kept));
 }
 
-LatencySummary Summarize(const LatencyHistogram& hist) {
-  const HistogramSnapshot snap = hist.Snapshot();
-  LatencySummary summary;
-  summary.count = snap.count;
-  summary.p50 = snap.P50();
-  summary.p99 = snap.P99();
-  summary.p999 = snap.P999();
-  summary.max = snap.max;
-  summary.mean_ns = snap.Mean();
-  return summary;
+void AppendCounterObject(std::string& out, const OpCounters& counters) {
+  out += '{';
+  counters.ForEachRendered([&out](const char* name, std::uint64_t value) {
+    Append(out, "\"%s\":%llu,", name, (unsigned long long)value);
+  });
+  out.back() = '}';  // replaces the last field's trailing comma
 }
-
-}  // namespace
 
 std::string DebugReport::ToText() const {
   std::string out;
   Append(out, "KiWi DebugReport (stats %s)\n",
          stats_enabled ? "on" : "off — counters/latency read zero");
-  // Counters and integer gauges print as name=value straight from their
-  // canonical field lists, wrapped to stay within 80 columns.
+  // Counters, gauges and census scalars print as name=value straight from
+  // their canonical field lists, wrapped to stay within 80 columns.
   std::string line;
   const auto field = [&out, &line](const char* name, std::uint64_t value) {
     char text[96];
@@ -64,9 +57,7 @@ std::string DebugReport::ToText() const {
     line.clear();
   };
   out += " counters:\n";
-#define KIWI_OBS_TEXT_COUNTER(name) field(#name, counters.name);
-  KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_TEXT_COUNTER)
-#undef KIWI_OBS_TEXT_COUNTER
+  counters.ForEachRendered(field);
   end_lines();
   Append(out,
          " latency (ns; put/get/scan sampled 1 in %u, rebalance exhaustive):\n",
@@ -85,48 +76,47 @@ std::string DebugReport::ToText() const {
   KIWI_OBS_GAUGE_FIELDS(KIWI_OBS_TEXT_GAUGE)
 #undef KIWI_OBS_TEXT_GAUGE
   end_lines();
-  Append(out, "  avg_fill=%.3f batched_ratio=%.3f\n", gauges.avg_fill,
-         gauges.batched_ratio);
+  out += " census:\n";
+#define KIWI_OBS_TEXT_CENSUS(name) field(#name, census.name);
+  KIWI_OBS_CENSUS_FIELDS(KIWI_OBS_TEXT_CENSUS)
+#undef KIWI_OBS_TEXT_CENSUS
+  end_lines();
+  Append(out, "  avg_fill=%.3f batched_ratio=%.3f\n", census.avg_fill,
+         census.batched_ratio);
   return out;
 }
 
 std::string DebugReport::ToJson() const {
-  std::string out;
-  out += "{\"kiwi_debug_report\":1,\"stats_enabled\":";
-  out += stats_enabled ? "true" : "false";
-  const OpCounters& c = counters;
-  const auto field = [&out](const char* name, std::uint64_t value,
-                            bool last = false) {
-    Append(out, "\"%s\":%llu%s", name, (unsigned long long)value,
-           last ? "" : ",");
-  };
-  // The counter object is generated from the canonical field list, so the
-  // JSON order *is* KIWI_OBS_COUNTER_FIELDS order by construction.
-  out += ",\"counters\":{";
-#define KIWI_OBS_EMIT_COUNTER(name) field(#name, c.name);
-  KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_EMIT_COUNTER)
-#undef KIWI_OBS_EMIT_COUNTER
-  out.pop_back();  // trailing comma from the last field
-  out += "},\"latency_ns\":{";
+  // The tag is the schema version: bump it whenever the schema breaks.
+  std::string out = "{\"kiwi_debug_report\":2,";
+  AppendJsonFields(out);
+  out += '}';
+  return out;
+}
+
+void DebugReport::AppendJsonFields(std::string& out) const {
+  Append(out, "\"stats_enabled\":%s,\"counters\":",
+         stats_enabled ? "true" : "false");
+  AppendCounterObject(out, counters);
+  out += ",\"latency_ns\":{";
   for (std::size_t i = 0; i < kLatencyCount; ++i) {
     const LatencySummary& s = latency[i];
-    Append(out, "\"%s\":{", LatencyName(static_cast<Latency>(i)));
-    field("count", s.count);
-    field("p50", s.p50);
-    field("p99", s.p99);
-    field("p999", s.p999);
-    field("max", s.max);
-    Append(out, "\"mean\":%.17g}%s", s.mean_ns,
-           i + 1 < kLatencyCount ? "," : "");
+    Append(out,
+           "\"%s\":{\"count\":%llu,\"p50\":%llu,\"p99\":%llu,\"p999\":%llu,"
+           "\"max\":%llu,\"mean\":%.17g},",
+           LatencyName(static_cast<Latency>(i)), (unsigned long long)s.count,
+           (unsigned long long)s.p50, (unsigned long long)s.p99,
+           (unsigned long long)s.p999, (unsigned long long)s.max, s.mean_ns);
   }
-  // Integer gauges in KIWI_OBS_GAUGE_FIELDS order, then the two doubles.
-  out += "},\"gauges\":{";
-#define KIWI_OBS_EMIT_GAUGE(name) field(#name, gauges.name);
+  out.back() = '}';
+  out += ",\"gauges\":{";
+#define KIWI_OBS_EMIT_GAUGE(name) \
+  Append(out, "\"%s\":%llu,", #name, (unsigned long long)gauges.name);
   KIWI_OBS_GAUGE_FIELDS(KIWI_OBS_EMIT_GAUGE)
 #undef KIWI_OBS_EMIT_GAUGE
-  Append(out, "\"avg_fill\":%.17g,\"batched_ratio\":%.17g}}", gauges.avg_fill,
-         gauges.batched_ratio);
-  return out;
+  out.back() = '}';
+  out += ",\"census\":";
+  out += census.ToJson();
 }
 
 }  // namespace kiwi::obs
@@ -140,20 +130,17 @@ obs::DebugReport KiWiMapT<Layout>::DebugReport() {
   report.stats_enabled = true;
   report.counters = obs_.Aggregate();
   for (std::size_t i = 0; i < obs::kLatencyCount; ++i) {
-    report.latency[i] =
-        obs::Summarize(obs_.Hist(static_cast<obs::Latency>(i)));
+    const obs::HistogramSnapshot snap =
+        obs_.Hist(static_cast<obs::Latency>(i)).Snapshot();
+    report.latency[i] = {snap.count, snap.P50(), snap.P99(), snap.P999(),
+                         snap.max, snap.Mean()};
   }
 #endif
-  // Gauges are computed from the live structure regardless of the stats
-  // gate.  Structure numbers come from one Census() walk; the PSA walks
-  // look at every slot (64 loads — occupancy must count exited threads'
-  // leaks too).
-  const obs::ChunkCensus census = Census();
-  report.gauges.chunks = census.chunks;
-  report.gauges.allocated_cells = census.allocated_cells;
-  report.gauges.batched_cells = census.batched_cells;
-  report.gauges.avg_fill = census.avg_fill;
-  report.gauges.batched_ratio = census.batched_ratio;
+  // The census and gauges are computed from the live structure regardless
+  // of the stats gate.  The chunk list is walked once, by Census(), which
+  // also sums the chunk slabs memory_bytes needs; the PSA walks look at
+  // every slot (64 loads — occupancy must count exited threads' leaks too).
+  report.census = Census();
   for (std::size_t t = 0; t < kMaxThreads; ++t) {
     if (psa_.Slot(t).Load().ver != kNoVersion) report.gauges.psa_active++;
     for (const auto& array : snapshot_psa_) {
@@ -167,7 +154,7 @@ obs::DebugReport KiWiMapT<Layout>::DebugReport() {
   report.gauges.ebr_epoch = ebr_.GlobalEpoch();
   report.gauges.ebr_epoch_lag = ebr_.EpochLag();
   report.gauges.global_version = gv_.Load();
-  report.gauges.memory_bytes = MemoryFootprint();
+  report.gauges.memory_bytes = FixedFootprint() + report.census.slab_bytes;
   const reclaim::SlabPool::Stats pool = pool_.GetStats();
   report.gauges.pool_hits = pool.hits;
   report.gauges.pool_misses = pool.misses;

@@ -1,7 +1,8 @@
 // DebugReport: one consistent-enough snapshot of everything a KiWiMap
-// exposes about itself — operation counters, latency distributions, and
-// structural-health gauges — renderable as human-readable text or as a
-// single JSON line for machine consumption (bench output, dashboards).
+// exposes about itself — operation counters, latency distributions, the
+// chunk census and structural-health gauges — renderable as human-readable
+// text or as a single JSON line for machine consumption (bench output, the
+// metrics pump, dashboards).
 //
 // The exact meaning of every field and the JSON schema are documented in
 // docs/OBSERVABILITY.md; keep the two in sync.
@@ -11,19 +12,15 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/census.h"
 #include "obs/stats_registry.h"
 
-// Every integer DebugReport gauge, in the canonical (wire/JSON) order.  The
-// two double gauges (avg_fill, batched_ratio) are emitted after the integer
-// fields and are handled explicitly by the renderers.
-// Like KIWI_OBS_COUNTER_FIELDS, this single list drives ToText, ToJson, the
+// Every DebugReport gauge, in the canonical (wire/JSON) order.  Like
+// KIWI_OBS_COUNTER_FIELDS, this single list drives ToText, ToJson, the
 // metrics pump, and the Prometheus gauge names (kiwi_<name>).  A row without
 // a DebugReport::Gauges field fails to compile in report.cpp; a field
 // without a row is rendered nowhere.
 #define KIWI_OBS_GAUGE_FIELDS(X) \
-  X(chunks)                      \
-  X(allocated_cells)             \
-  X(batched_cells)               \
   X(psa_active)                  \
   X(snapshot_pins)               \
   X(ebr_pending)                 \
@@ -53,7 +50,7 @@ struct LatencySummary {
 
 struct DebugReport {
   /// False in a KIWI_STATS=OFF build: counters and latency are all zero
-  /// then, but the gauges (computed on demand) remain live.
+  /// then, but the census and gauges (computed on demand) remain live.
   bool stats_enabled = false;
 
   /// Aggregated over all thread shards (see StatsRegistry::Aggregate).
@@ -64,14 +61,12 @@ struct DebugReport {
   /// every execution.
   std::array<LatencySummary, kLatencyCount> latency{};
 
-  /// Structural health, computed from the live structure at report time
-  /// (the first five from one Census() walk).
+  /// Chunk structure (counts, cells, fill and sorted-prefix distributions,
+  /// arenas, ages) from the report's one chunk-list walk.
+  ChunkCensus census;
+
+  /// Structural health outside the chunk list, computed at report time.
   struct Gauges {
-    std::uint64_t chunks = 0;           // data chunks in the list
-    std::uint64_t allocated_cells = 0;  // cells handed out across chunks
-    std::uint64_t batched_cells = 0;    // cells in sorted prefixes
-    double avg_fill = 0;                // allocated / capacity, averaged
-    double batched_ratio = 0;           // batched / allocated, averaged
     std::uint64_t psa_active = 0;       // in-flight transient scan entries
     std::uint64_t snapshot_pins = 0;    // open Snapshot-view read points
     std::uint64_t ebr_pending = 0;      // retired, not-yet-freed objects
@@ -79,7 +74,7 @@ struct DebugReport {
     std::uint64_t ebr_epoch = 0;        // current global epoch
     std::uint64_t ebr_epoch_lag = 0;    // epoch minus slowest active guard
     std::uint64_t global_version = 0;   // GV (scans performed + 1)
-    std::uint64_t memory_bytes = 0;     // chunks + index footprint
+    std::uint64_t memory_bytes = 0;     // == KiWiMap::MemoryFootprint()
     // Slab-pool recycling (see src/reclaim/pool.h).  hits/misses are
     // monotone allocation counters; the byte gauges split the pool's view
     // of memory into handed-out (live) vs idle recycled stock (pooled).
@@ -96,6 +91,11 @@ struct DebugReport {
 
   /// One-line JSON rendering; schema in docs/OBSERVABILITY.md.
   std::string ToJson() const;
+
+  /// The report's JSON members ("stats_enabled" through "census"), without
+  /// braces or schema tag: the body of ToJson and the tail of the metrics
+  /// pump's JSONL line.
+  void AppendJsonFields(std::string& out) const;
 };
 
 }  // namespace kiwi::obs

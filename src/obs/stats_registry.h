@@ -59,14 +59,20 @@ namespace kiwi::obs {
   X(puts_helped)        /* put version installed by a scan/get */           \
   X(scans_helped)       /* scan version installed by a rebalance */         \
   /* ---- contention: retries/failures on the hot CAS loops ----------- */ \
-  X(put_link_retries)   /* put phase-3 list-link CAS retries */             \
-  X(ppa_publish_fails)  /* PPA publish CAS lost to freeze/help */           \
+  KIWI_OBS_RETRY_FIELDS(X)                                                  \
   X(cell_alloc_overflows) /* put saw a full cell/value array */             \
   X(locate_restarts)    /* LocateChunk restarted on a retired chunk */      \
+  X(splice_helps)       /* replace-stage recursive helps of a stuck pred */
+
+// The contention counters that tally a lost or retried CAS.  Their sum is
+// the derived `retries` total every rendered counter object ends with
+// (OpCounters::Retries); it is computed when rendered, never stored.
+#define KIWI_OBS_RETRY_FIELDS(X)                                            \
+  X(put_link_retries)   /* put phase-3 list-link CAS retries */             \
+  X(ppa_publish_fails)  /* PPA publish CAS lost to freeze/help */           \
   X(engage_cas_fails)   /* rebalance stage-1 engagement CAS losses */       \
   X(freeze_cas_retries) /* PPA-freeze CAS retries (stage 2) */              \
   X(splice_retries)     /* replace-stage splice loop re-iterations */       \
-  X(splice_helps)       /* replace-stage recursive helps of a stuck pred */ \
   X(index_cas_retries)  /* normalize-stage index PutConditional retries */
 
 /// Monotone operation counters.  One instance per thread shard; Aggregate()
@@ -81,6 +87,25 @@ struct OpCounters {
     KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_ADD_FIELD)
 #undef KIWI_OBS_ADD_FIELD
     return *this;
+  }
+
+  /// Every lost or retried CAS across the put, PPA, rebalance and index
+  /// hot loops: the sum of the KIWI_OBS_RETRY_FIELDS counters.
+  std::uint64_t Retries() const {
+#define KIWI_OBS_SUM_FIELD(name) name +
+    return KIWI_OBS_RETRY_FIELDS(KIWI_OBS_SUM_FIELD) 0;
+#undef KIWI_OBS_SUM_FIELD
+  }
+
+  /// Visit (name, value) for every counter in KIWI_OBS_COUNTER_FIELDS
+  /// order, then ("retries", Retries()): the one field walk behind every
+  /// rendered counter object (ToText, ToJson, the pump's deltas and rates).
+  template <typename Visit>
+  void ForEachRendered(Visit&& visit) const {
+#define KIWI_OBS_VISIT_FIELD(name) visit(#name, name);
+    KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_VISIT_FIELD)
+#undef KIWI_OBS_VISIT_FIELD
+    visit("retries", Retries());
   }
 };
 

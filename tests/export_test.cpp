@@ -190,7 +190,7 @@ std::string CheckPromExposition(const std::string& text) {
 
 obs::MetricsSample SampleOf(KiWiMap& map) {
   obs::MetricsAggregator agg(1);
-  return agg.Ingest(map.DebugReport(), map.Census(), 0.0);
+  return agg.Ingest(map.DebugReport(), 0.0);
 }
 
 // ---- aggregator math ---------------------------------------------------
@@ -200,8 +200,7 @@ TEST(MetricsAggregator, FirstSampleCarriesCumulativeAsDeltas) {
   obs::DebugReport report;
   report.counters.puts = 100;
   report.counters.gets = 40;
-  const obs::ChunkCensus census;
-  const obs::MetricsSample s = agg.Ingest(report, census, 123.0);
+  const obs::MetricsSample s = agg.Ingest(report, 123.0);
   EXPECT_EQ(s.pump, 7u);
   EXPECT_EQ(s.seq, 0u);
   EXPECT_FALSE(s.have_deltas);
@@ -214,13 +213,12 @@ TEST(MetricsAggregator, FirstSampleCarriesCumulativeAsDeltas) {
 TEST(MetricsAggregator, DeltasAndUptimeAccumulate) {
   obs::MetricsAggregator agg(1);
   obs::DebugReport report;
-  const obs::ChunkCensus census;
   report.counters.puts = 100;
-  agg.Ingest(report, census, 0.0);
+  agg.Ingest(report, 0.0);
 
   report.counters.puts = 250;
   report.counters.scans = 8;
-  obs::MetricsSample s = agg.Ingest(report, census, 0.5);
+  obs::MetricsSample s = agg.Ingest(report, 0.5);
   EXPECT_TRUE(s.have_deltas);
   EXPECT_EQ(s.seq, 1u);
   EXPECT_EQ(s.deltas.puts, 150u);
@@ -232,7 +230,7 @@ TEST(MetricsAggregator, DeltasAndUptimeAccumulate) {
   EXPECT_NE(s.ToJsonl().find("\"rates\":{\"puts\":300"), std::string::npos);
 
   report.counters.puts = 260;
-  s = agg.Ingest(report, census, 0.25);
+  s = agg.Ingest(report, 0.25);
   EXPECT_EQ(s.seq, 2u);
   EXPECT_EQ(s.deltas.puts, 10u);
   EXPECT_DOUBLE_EQ(s.uptime_s, 0.75);
@@ -243,11 +241,10 @@ TEST(MetricsAggregator, BackwardsCounterClampsToZeroDelta) {
   // the previous tick; the delta clamps rather than underflowing.
   obs::MetricsAggregator agg(1);
   obs::DebugReport report;
-  const obs::ChunkCensus census;
   report.counters.puts = 1000;
-  agg.Ingest(report, census, 0.0);
+  agg.Ingest(report, 0.0);
   report.counters.puts = 900;
-  const obs::MetricsSample s = agg.Ingest(report, census, 1.0);
+  const obs::MetricsSample s = agg.Ingest(report, 1.0);
   EXPECT_EQ(s.deltas.puts, 0u);
 }
 
@@ -297,13 +294,23 @@ TEST(MetricsExport, JsonlLineIsValidJsonWithTheStreamMarker) {
   const obs::MetricsSample sample = SampleOf(map);
   const std::string line = sample.ToJsonl();
   EXPECT_TRUE(JsonChecker(line).Valid()) << line;
-  EXPECT_EQ(line.find("{\"kiwi_metrics\":1,"), 0u);
+  EXPECT_EQ(line.find("{\"kiwi_metrics\":2,"), 0u);
   for (const char* key :
        {"\"counters\":", "\"deltas\":", "\"rates\":", "\"gauges\":",
-        "\"latency_ns\":", "\"census\":", "\"ebr_epoch_lag\"",
-        "\"put_link_retries\"", "\"fill_hist\""}) {
+        "\"latency_ns\":", "\"ebr_epoch_lag\"", "\"put_link_retries\"",
+        "\"retries\"", "\"fill_hist\""}) {
     EXPECT_NE(line.find(key), std::string::npos) << key;
   }
+  // The census is the report's, rendered once; the gauges no longer copy
+  // its fields.
+  const std::size_t census_at = line.find("\"census\":");
+  ASSERT_NE(census_at, std::string::npos);
+  EXPECT_EQ(line.find("\"census\":", census_at + 1), std::string::npos);
+  const std::size_t gauges_at = line.find("\"gauges\":{");
+  ASSERT_NE(gauges_at, std::string::npos);
+  const std::string gauges =
+      line.substr(gauges_at, line.find('}', gauges_at) - gauges_at);
+  EXPECT_EQ(gauges.find("\"chunks\""), std::string::npos) << gauges;
 }
 
 TEST(MetricsExport, PromExpositionParses) {
@@ -315,7 +322,7 @@ TEST(MetricsExport, PromExpositionParses) {
   const std::string text = prom.str();
   EXPECT_EQ(CheckPromExposition(text), "");
   for (const char* needle :
-       {"# TYPE kiwi_puts_total counter", "# TYPE kiwi_chunks gauge",
+       {"# TYPE kiwi_puts_total counter", "# TYPE kiwi_census_chunks gauge",
         "# TYPE kiwi_chunk_fill histogram", "kiwi_chunk_fill_bucket{le=\"+Inf\"}",
         "kiwi_latency_ns{op=\"put\",stat=\"p99\"}",
         "# TYPE kiwi_splice_retries_total counter"}) {
@@ -459,7 +466,7 @@ TEST(MetricsPump, JsonlFileRoundTripAndFinalFlush) {
   std::uint64_t previous_seq = 0;
   while (std::getline(in, line)) {
     EXPECT_TRUE(JsonChecker(line).Valid()) << line;
-    EXPECT_NE(line.find("\"kiwi_metrics\":1"), std::string::npos);
+    EXPECT_NE(line.find("\"kiwi_metrics\":2"), std::string::npos);
     const std::size_t seq_at = line.find("\"seq\":");
     ASSERT_NE(seq_at, std::string::npos);
     const std::uint64_t seq = std::strtoull(
@@ -484,10 +491,7 @@ TEST(MetricsPump, WritePromServesTheLatestSample) {
 
   // The pump is gone; drive a fresh one through the public surface to read
   // the exposition before and after a tick.
-  obs::MetricsPump pump(
-      obs::MetricsSource{[&map] { return map.DebugReport(); },
-                         [&map] { return map.Census(); }},
-      options);
+  obs::MetricsPump pump([&map] { return map.DebugReport(); }, options);
   std::ostringstream prom;
   EXPECT_FALSE(pump.WriteProm(prom)) << "no sample before the first tick";
   pump.Stop();
@@ -537,16 +541,39 @@ TEST(ContentionTeeth, StalledPublishWindowRecordsPpaPublishFail) {
   EXPECT_EQ(map.Get(3), std::optional<Value>(3));
 
 #if KIWI_OBS_ENABLED
-  const obs::OpCounters c = map.DebugReport().counters;
+  const obs::DebugReport report = map.DebugReport();
+  const obs::OpCounters& c = report.counters;
   EXPECT_GT(c.ppa_publish_fails, 0u)
       << "the nested put raced an occupied PPA slot yet no publish "
          "failure was recorded — the contention counters are not wired";
+  // The derived retries total is the six retried-CAS counters' sum, and
+  // every rendered counter object ends with it.
+  const std::uint64_t sum = c.put_link_retries + c.ppa_publish_fails +
+                            c.engage_cas_fails + c.freeze_cas_retries +
+                            c.splice_retries + c.index_cas_retries;
+  EXPECT_EQ(c.Retries(), sum);
+  const std::string total = std::to_string(sum);
+  EXPECT_NE(report.ToText().find(" retries=" + total), std::string::npos);
+  EXPECT_NE(report.ToJson().find("\"retries\":" + total + "}"),
+            std::string::npos);
+  // A first pump sample's deltas equal the counters and its rates are
+  // deltas / 1: counters, deltas and rates all end with the total.
+  obs::MetricsAggregator agg(1);
+  const std::string line = agg.Ingest(report, 0.0).ToJsonl();
+  const std::string needle = "\"retries\":" + total + "}";
+  std::size_t objects = 0;
+  for (std::size_t at = line.find(needle); at != std::string::npos;
+       at = line.find(needle, at + 1)) {
+    ++objects;
+  }
+  EXPECT_EQ(objects, 3u) << line;
 #endif
 }
 
 // ---- docs pinning ------------------------------------------------------
-// Every counter and gauge name in the canonical X-macro lists must appear
-// in docs/OBSERVABILITY.md, so the schema tables cannot silently drift.
+// Every counter, gauge and census-scalar name in the canonical X-macro
+// lists, and the derived retries total, must appear in
+// docs/OBSERVABILITY.md, so the schema tables cannot silently drift.
 
 #ifdef KIWI_SOURCE_DIR
 TEST(ObsDocs, EveryCounterAndGaugeIsDocumented) {
@@ -561,6 +588,8 @@ TEST(ObsDocs, EveryCounterAndGaugeIsDocumented) {
       << #name " missing from docs/OBSERVABILITY.md";
   KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_CHECK_DOC)
   KIWI_OBS_GAUGE_FIELDS(KIWI_OBS_CHECK_DOC)
+  KIWI_OBS_CENSUS_FIELDS(KIWI_OBS_CHECK_DOC)
+  KIWI_OBS_CHECK_DOC(retries)
 #undef KIWI_OBS_CHECK_DOC
 }
 #endif

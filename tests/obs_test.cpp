@@ -302,6 +302,7 @@ TEST(DebugReport, JsonParsesAndCountersAreMonotone) {
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"latency_ns\""), std::string::npos);
     EXPECT_NE(json.find("\"gauges\""), std::string::npos);
+    EXPECT_NE(json.find("\"census\""), std::string::npos);
     EXPECT_EQ(json.find('\n'), std::string::npos) << "must be one line";
     EXPECT_FALSE(current.ToText().empty());
 
@@ -333,8 +334,8 @@ TEST(DebugReport, JsonParsesAndCountersAreMonotone) {
   EXPECT_GE(put_hist.max, put_hist.p999);
   EXPECT_GE(put_hist.p999, put_hist.p99);
   EXPECT_GE(put_hist.p99, put_hist.p50);
-  // Gauges describe a live structure.
-  EXPECT_GT(final_report.gauges.chunks, 0u);
+  // The census and gauges describe a live structure.
+  EXPECT_GT(final_report.census.chunks, 0u);
   EXPECT_GT(final_report.gauges.memory_bytes, 0u);
   EXPECT_EQ(final_report.gauges.psa_active, 0u);     // no scan in flight
   EXPECT_EQ(final_report.gauges.snapshot_pins, 0u);  // no view open
@@ -353,6 +354,28 @@ TEST(DebugReport, SnapshotViewShowsUpInGauges) {
 #endif
   }
   EXPECT_EQ(map.DebugReport().gauges.snapshot_pins, 0u);
+}
+
+// memory_bytes is the fixed part (index, map header, sentinel) plus the
+// slab bytes the report's one census walk sums; on a quiescent map that is
+// exactly what the MemoryFootprint() walk returns.
+TEST(DebugReport, MemoryGaugeIsTheFootprint) {
+  core::KiWiMap ints;
+  for (Key k = 1; k <= 20'000; ++k) ints.Put(k, k);
+  for (Key k = 1; k <= 20'000; k += 3) ints.Remove(k);
+  ints.DrainReclamation();
+  const obs::DebugReport int_report = ints.DebugReport();
+  EXPECT_GT(int_report.census.slab_bytes, 0u);
+  EXPECT_EQ(int_report.gauges.memory_bytes, ints.MemoryFootprint());
+
+  core::KiWiMapT<core::ByteLayout> bytes;
+  for (int i = 0; i < 5'000; ++i) {
+    bytes.Put("key" + std::to_string(i), std::string(i % 40, 'v'));
+  }
+  bytes.DrainReclamation();
+  const obs::DebugReport byte_report = bytes.DebugReport();
+  EXPECT_GT(byte_report.census.arena_used_bytes, 0u);
+  EXPECT_EQ(byte_report.gauges.memory_bytes, bytes.MemoryFootprint());
 }
 
 }  // namespace

@@ -69,7 +69,9 @@ TEST(Policy, ConfigDefaultsMatchPaper) {
   EXPECT_EQ(config.chunk_capacity, 1024u);
   EXPECT_DOUBLE_EQ(config.rebalance_probability, 0.15);
   EXPECT_DOUBLE_EQ(config.batched_prefix_min_ratio, 0.625);
-  EXPECT_DOUBLE_EQ(config.fill_ratio, 0.5);
+  EXPECT_DOUBLE_EQ(kFillRatio, 0.5);
+  EXPECT_DOUBLE_EQ(kSparseRatio, 0.25);
+  EXPECT_EQ(kMaxEntryBytes, 4096u);
 }
 
 }  // namespace
