@@ -199,11 +199,6 @@ class HashTrie {
                                 kLevelMask);
   }
 
-  /// Ensure the INode referenced by `branch` (sitting in `parent`'s slot)
-  /// is current-generation, cloning it if needed.  Returns the live INode.
-  INode* EnsureCurrent(INode* parent, const CNode* parent_main,
-                       std::uint64_t bit, INode* child, std::uint64_t gen);
-
   /// One update attempt; false = CAS lost, restart from the root.
   bool TryPut(Key key, Value value, std::uint64_t gen);
   bool TryRemove(Key key, std::uint64_t gen);

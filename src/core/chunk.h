@@ -204,26 +204,15 @@ class alignas(kCacheLineSize) ChunkT {
   /// the front of the chunk's own arena, immutable after Create).
   KeyView MinKey() const { return Layout::CellKeyView(a, min_key); }
 
-  /// True if `key` falls inside this chunk's range given its current next.
-  bool CoversKey(KeyView key) const {
-    if (Layout::KeyLess(key, MinKey())) return false;
-    const ChunkT* succ = Next();
-    return succ == nullptr || Layout::KeyLess(key, succ->MinKey());
-  }
-
-  /// Index of the last *batched-prefix* cell with key < `key` (possibly the
-  /// cell-0 sentinel).  Starting point for list traversals.
-  std::int32_t BatchedPredecessor(KeyView key) const {
-    return BatchedPredecessorProbe(Layout::MakeProbe(key));
-  }
-  /// Probe-taking variant (named, not overloaded: for the int64 layout
-  /// KeyView and Probe are the same type).  Callers that compare many keys
-  /// against one chunk build the probe once and reuse it.
+  /// Index of the last *batched-prefix* cell with key below `probe`'s key
+  /// (possibly the cell-0 sentinel): the starting point for list
+  /// traversals.  Callers that compare many keys against one chunk build
+  /// the probe once and reuse it.
   std::int32_t BatchedPredecessorProbe(const Probe& probe) const;
 
   /// Walk the list for the cell with exactly {key, version}, starting at
   /// cell `start`: a linked cell with key strictly below `key`, or kNullIdx
-  /// to start from the batched prefix (BatchedPredecessor).  On miss,
+  /// to start from the batched prefix (BatchedPredecessorProbe).  On miss,
   /// reports the insertion point: *pred is the cell after which {key,
   /// version} belongs and *succ the cell that currently follows it (the
   /// exact expected value for the linking CAS; kNullIdx at the tail).
@@ -247,12 +236,12 @@ class alignas(kCacheLineSize) ChunkT {
   LatestResult FindLatest(KeyView key, Version max_version) const;
 
   /// Paper's helpPendingPuts: install the current GV into every pending,
-  /// versionless PPA entry whose key is within [from, to].
-  void HelpPendingPuts(GlobalVersion& gv, KeyView from, KeyView to);
-
-  /// HelpPendingPuts without a key filter — full-map scans use this (byte
-  /// keys have no finite maximum, and over-helping is always safe).
-  void HelpAllPendingPuts(GlobalVersion& gv);
+  /// versionless PPA entry whose key is within [from, *to] (`to` ==
+  /// nullptr: no upper bound, as byte keys have no finite maximum).
+  void HelpPendingPuts(GlobalVersion& gv, KeyView from, const KeyView* to);
+  void HelpPendingPuts(GlobalVersion& gv, KeyView from, KeyView to) {
+    HelpPendingPuts(gv, from, &to);
+  }
 
   /// Freeze every PPA slot that has no version yet (rebalance stage 2).
   /// Returns the number of CAS attempts that lost to a concurrent publish
@@ -295,10 +284,11 @@ class alignas(kCacheLineSize) ChunkT {
   /// rebalance's build stage and by tests.
   void CollectItems(std::vector<Item>& out) const;
 
-  /// Append versioned PPA entries with key in [from, to] and version <=
-  /// max_version to `out` (unsorted).  Scans use this to merge pending puts
-  /// with the list; must run *before* the list pass (see FindLatest).
-  void CollectPpaItems(std::vector<Item>& out, KeyView from, KeyView to,
+  /// Append versioned PPA entries with key in [from, *to] (`to` ==
+  /// nullptr: no upper bound) and version <= max_version to `out`
+  /// (unsorted).  Scans use this to merge pending puts with the list; must
+  /// run *before* the list pass (see FindLatest).
+  void CollectPpaItems(std::vector<Item>& out, KeyView from, const KeyView* to,
                        Version max_version) const;
 
   friend class KiWiMapT<Layout>;
@@ -311,9 +301,6 @@ class alignas(kCacheLineSize) ChunkT {
   /// Drops the chunk's reference on its rebalance object, if engaged (see
   /// rebalance_object.h for the lifetime story).  Only Destroy calls this.
   ~ChunkT();
-
-  /// CollectPpaItems without a key filter (CollectItems wants everything).
-  void CollectAllPpaItems(std::vector<Item>& out, Version max_version) const;
 
   /// Key/value views of a fully materialized cell, resolved through the
   /// arena for byte layouts.
@@ -563,9 +550,9 @@ typename ChunkT<Layout>::LatestResult ChunkT<Layout>::FindLatest(
 
 template <typename Layout>
 void ChunkT<Layout>::HelpPendingPuts(GlobalVersion& gv, KeyView from,
-                                     KeyView to) {
+                                     const KeyView* to) {
   const Probe from_probe = Layout::MakeProbe(from);
-  const Probe to_probe = Layout::MakeProbe(to);
+  const Probe to_probe = to != nullptr ? Layout::MakeProbe(*to) : Probe{};
   const std::size_t high_water = ThreadRegistry::HighWater();
   for (std::size_t t = 0; t < high_water; ++t) {
     const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
@@ -574,28 +561,13 @@ void ChunkT<Layout>::HelpPendingPuts(GlobalVersion& gv, KeyView from,
     if (idx == kPpaNoIdx) continue;
     const CellKey& key = k[idx].key;
     if (Layout::CompareCell(a, key, from_probe) < 0 ||
-        Layout::CompareCell(a, key, to_probe) > 0) {
+        (to != nullptr && Layout::CompareCell(a, key, to_probe) > 0)) {
       continue;
     }
     const Version current = gv.Load();
     std::uint64_t expected = word;
     // Failure means the put assigned its own version, was helped by someone
     // else, or was frozen — all fine.
-    ppa[t].compare_exchange_strong(expected, PackPpa(current, idx),
-                                   std::memory_order_seq_cst);
-  }
-}
-
-template <typename Layout>
-void ChunkT<Layout>::HelpAllPendingPuts(GlobalVersion& gv) {
-  const std::size_t high_water = ThreadRegistry::HighWater();
-  for (std::size_t t = 0; t < high_water; ++t) {
-    const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
-    if (PpaVer(word) != kPpaVerBottom) continue;
-    const std::uint32_t idx = PpaIdx(word);
-    if (idx == kPpaNoIdx) continue;
-    const Version current = gv.Load();
-    std::uint64_t expected = word;
     ppa[t].compare_exchange_strong(expected, PackPpa(current, idx),
                                    std::memory_order_seq_cst);
   }
@@ -622,9 +594,10 @@ std::uint64_t ChunkT<Layout>::FreezePpa() {
 
 template <typename Layout>
 void ChunkT<Layout>::CollectPpaItems(std::vector<Item>& out, KeyView from,
-                                     KeyView to, Version max_version) const {
+                                     const KeyView* to,
+                                     Version max_version) const {
   const Probe from_probe = Layout::MakeProbe(from);
-  const Probe to_probe = Layout::MakeProbe(to);
+  const Probe to_probe = to != nullptr ? Layout::MakeProbe(*to) : Probe{};
   for (std::size_t t = 0; t < kMaxThreads; ++t) {
     const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
     const Version ver = PpaVer(word);
@@ -635,27 +608,9 @@ void ChunkT<Layout>::CollectPpaItems(std::vector<Item>& out, KeyView from,
     if (idx == kPpaNoIdx) continue;
     const Cell& cell = k[idx];
     if (Layout::CompareCell(a, cell.key, from_probe) < 0 ||
-        Layout::CompareCell(a, cell.key, to_probe) > 0) {
+        (to != nullptr && Layout::CompareCell(a, cell.key, to_probe) > 0)) {
       continue;
     }
-    const std::int32_t val_ptr = cell.val_ptr.load(std::memory_order_acquire);
-    out.push_back(Item{Layout::CellKeyView(a, cell.key), ver, val_ptr,
-                       LoadValue(val_ptr)});
-  }
-}
-
-template <typename Layout>
-void ChunkT<Layout>::CollectAllPpaItems(std::vector<Item>& out,
-                                        Version max_version) const {
-  for (std::size_t t = 0; t < kMaxThreads; ++t) {
-    const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
-    const Version ver = PpaVer(word);
-    if (ver == kPpaVerBottom || ver == kPpaVerFrozen || ver > max_version) {
-      continue;
-    }
-    const std::uint32_t idx = PpaIdx(word);
-    if (idx == kPpaNoIdx) continue;
-    const Cell& cell = k[idx];
     const std::int32_t val_ptr = cell.val_ptr.load(std::memory_order_acquire);
     out.push_back(Item{Layout::CellKeyView(a, cell.key), ver, val_ptr,
                        LoadValue(val_ptr)});
@@ -666,8 +621,9 @@ template <typename Layout>
 void ChunkT<Layout>::CollectItems(std::vector<Item>& out) const {
   const std::size_t base = out.size();
   // PPA before list (same reasoning as FindLatest): a put that links and
-  // clears between the passes must be caught by the list walk.
-  CollectAllPpaItems(out, kMaxReadVersion);
+  // clears between the passes must be caught by the list walk.  Every cell
+  // of a chunk is at or above its min key, so this bound keeps them all.
+  CollectPpaItems(out, MinKey(), nullptr, kMaxReadVersion);
   std::int32_t curr = k[0].next.load(std::memory_order_acquire);
   std::uint32_t steps = 0;
   while (curr != kNullIdx) {

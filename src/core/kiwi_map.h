@@ -76,10 +76,11 @@ class KiWiMapT {
 
   explicit KiWiMapT(KiWiConfig config = {});
 
-  /// Bulk-load construction: builds chunks directly from `sorted_entries`
-  /// (strictly ascending keys, no tombstones) without going through Put —
-  /// O(n) instead of O(n log n) with rebalance churn.  Useful for loading
-  /// datasets before a benchmark or restoring a backup.
+  /// Bulk-load construction: carves `sorted_entries` (strictly ascending
+  /// keys, no tombstones) into chunks with the rebalance build's chunk
+  /// builder, without going through Put — O(n) instead of O(n log n) with
+  /// rebalance churn.  Useful for loading datasets before a benchmark or
+  /// restoring a backup.
   explicit KiWiMapT(std::span<const Entry> sorted_entries,
                     KiWiConfig config = {});
 
@@ -135,9 +136,12 @@ class KiWiMapT {
 
   /// A consistent read view: one scan read-point held open across any
   /// number of gets and range reads (an extension the paper's design makes
-  /// natural — a snapshot IS a pinned PSA entry).  All queries through one
-  /// Snapshot observe the same linearization point; writers proceed
-  /// unimpeded but their updates are invisible to the view.
+  /// natural — a snapshot IS a pinned PSA entry).  Opening one takes its
+  /// read point exactly as a scan does, over the whole key range; its Get
+  /// and Scan run the map's own point and range reads at that read point.
+  /// All queries through one Snapshot observe the same linearization
+  /// point; writers proceed unimpeded but their updates are invisible to
+  /// the view.
   ///
   /// Retention bound: the pinned version blocks compaction of every newer
   /// version, so each overwrite of a key that follows a global-version bump
@@ -239,11 +243,8 @@ class KiWiMapT {
   /// Quiescent-only: release every retired chunk (the paper's "full GC"
   /// point before measuring RAM, Figure 5).  Retired slabs land in the pool
   /// as reusable stock; use Pool().GetStats() to separate live from pooled
-  /// bytes, or TrimPool() to hand the stock back to the OS.
+  /// bytes.
   void DrainReclamation() { ebr_.CollectAllQuiescent(); }
-
-  /// Quiescent-only: release the pool's idle slabs to the OS.
-  std::size_t TrimPool() { return pool_.Trim(); }
 
   /// Reclamation diagnostics.
   const reclaim::Ebr& Reclaimer() const { return ebr_; }
@@ -254,6 +255,12 @@ class KiWiMapT {
  private:
   using RebalanceObject = RebalanceObjectT<Layout>;
   using Item = typename Chunk::Item;
+
+  /// The one write precondition check (Put, Remove, PutBatch, bulk load):
+  /// `key` is a user key and, for byte layouts, key + value fit
+  /// max_entry_bytes_.  A tombstone carries no value bytes, so the same
+  /// check covers Remove.
+  void CheckEntry(KeyView key, ValueView value) const;
 
   /// Shared body of Put and Remove (a remove is a put of the tombstone).
   void PutImpl(KeyView key, ValueView value);
@@ -276,6 +283,32 @@ class KiWiMapT {
   /// layout's whole upper prefix domain in that case.
   std::size_t ScanImpl(KeyView from_key, const KeyView* to_key,
                        const std::function<void(KeyView, ValueView)>& yield);
+
+  /// A read point pinned in a PSA entry.
+  struct ReadPin {
+    Version version;
+    std::uint64_t seq;  // the entry's publication, Clear's ABA guard
+    bool helped;        // a helping rebalance installed `version`
+  };
+
+  /// The one read-point acquisition of scans and Snapshots (paper
+  /// Algorithm 2 lines 32-35): publish [low, high] in `entry` as pending,
+  /// fetch-and-increment GV, then install it or adopt the version a
+  /// helping rebalance installed.  The publish-before-F&I order is
+  /// load-bearing: a rebalance that cannot see the entry may compact away
+  /// versions at or below the read point.
+  ReadPin AcquireReadPoint(PsaEntry& entry, PsaKey low, PsaKey high);
+
+  /// The one point read of Get and Snapshot::Get: latest value of `key`
+  /// with version <= max_version, after helping pending puts to `key`.
+  std::optional<OwnedValue> ReadKey(KeyView key, Version max_version);
+
+  /// The one range read of scans and Snapshot::Scan: every key in
+  /// [from_key, *to_key] (`to_key` == nullptr: no upper bound) at
+  /// `read_point`, chunk by chunk.  `from_key` must be a user key.
+  std::size_t ReadRange(KeyView from_key, const KeyView* to_key,
+                        Version read_point,
+                        const std::function<void(KeyView, ValueView)>& yield);
 
   /// PutBatch's amortized per-op path: claim cells and value slots for a
   /// sorted run of distinct keys (all covered by `chunk`) in two
@@ -341,6 +374,15 @@ class KiWiMapT {
   /// into the compacted data at the current GV.
   BuiltSection BuildSection(RebalanceObject* ro, Chunk* last,
                             Version min_version, std::span<const Item> puts);
+
+  /// The one chunk builder, shared by the build stage and the bulk load:
+  /// carve `items` (sorted by Chunk::ItemBefore) into a chain of `status`
+  /// chunks with parent `parent`, filled to kFillRatio, never splitting
+  /// one key's version run across a boundary and folding a sparse tail
+  /// into its predecessor.  The first chunk starts at `first_min_key`,
+  /// later ones at their first key.  Builds at least one chunk.
+  BuiltSection CarveChunks(std::span<const Item> items, KeyView first_min_key,
+                           Chunk* parent, typename Chunk::Status status);
 
   /// Stage 5: consensus + splice.  Returns true once the (agreed)
   /// replacement section is reachable; *i_won reports whether this thread's

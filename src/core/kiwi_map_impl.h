@@ -52,77 +52,28 @@ template <typename Layout>
 KiWiMapT<Layout>::KiWiMapT(std::span<const Entry> sorted_entries,
                            KiWiConfig config)
     : KiWiMapT(config) {
-  // Carve the input into half-filled normal chunks, exactly the layout a
-  // rebalance would produce, and index them eagerly.
-  const std::uint32_t capacity = config.chunk_capacity;
-  const std::uint32_t fill = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(kFillRatio * capacity));
-  // Byte layouts additionally budget each chunk's arena to kFillRatio so
-  // post-load puts have byte headroom, mirroring the cell fill — clamped to
-  // always leave one max-size entry of headroom (same livelock guard as the
-  // rebalance build carve, see rebalance_impl.h).
-  [[maybe_unused]] const std::size_t arena_fill = std::min<std::size_t>(
-      std::max<std::size_t>(
-          max_entry_bytes_,
-          static_cast<std::size_t>(kFillRatio * arena_capacity_)),
-      arena_capacity_ - max_entry_bytes_);
-  Chunk* tail = sentinel_->Next();  // the initial empty chunk
-  std::size_t begin = 0;
-  while (begin < sorted_entries.size()) {
-    std::vector<Item> items;
-    items.reserve(fill);
-    [[maybe_unused]] std::size_t arena_bytes = 0;
-    if constexpr (Layout::kHasArena) {
-      arena_bytes = begin == 0
-                        ? Layout::MinUserKey().size()
-                        : Layout::ViewKey(sorted_entries[begin].first).size();
-    }
-    std::size_t end = begin;
-    while (end < sorted_entries.size() && end - begin < fill) {
-      const auto& [okey, ovalue] = sorted_entries[end];
-      const KeyView key = Layout::ViewKey(okey);
-      const ValueView value = Layout::ViewValue(ovalue);
-      KIWI_ASSERT(Layout::IsUserKey(key), "bulk-load key below user domain");
-      KIWI_ASSERT(!Layout::IsTombstone(value), "bulk-load value is reserved");
-      KIWI_ASSERT(items.empty() || Layout::KeyLess(items.back().key, key),
-                  "bulk-load keys must be strictly ascending");
-      KIWI_ASSERT(begin == 0 || end > begin ||
-                      Layout::KeyLess(
-                          Layout::ViewKey(sorted_entries[begin - 1].first),
-                          key),
-                  "bulk-load keys must be strictly ascending");
-      if constexpr (Layout::kHasArena) {
-        const std::size_t need = Layout::EntryArenaBytes(key, value);
-        KIWI_ASSERT(need <= max_entry_bytes_,
-                    "bulk-load entry exceeds max_entry_bytes");
-        if (end > begin && arena_bytes + need > arena_fill) break;
-        arena_bytes += need;
-      }
-      items.push_back(Item{key, /*version=*/1,
-                           static_cast<std::int32_t>(end - begin), value});
-      ++end;
-    }
-    // The very first segment loads into a chunk starting at the minimal
-    // user key so the whole domain stays covered; later chunks start at
-    // their first key.
-    const KeyView min_key =
-        begin == 0 ? Layout::MinUserKey() : items.front().key;
-    auto* chunk = Chunk::Create(pool_, min_key, capacity, nullptr,
-                                Chunk::Status::kNormal,
-                                std::span<const Item>(items), arena_capacity_);
-    KIWI_OBS_INC(obs_, chunks_created);
-    if (begin == 0) {
-      // Replace the initial empty chunk outright (single-threaded ctor).
-      Chunk* initial = sentinel_->Next();
-      sentinel_->next.Store(MarkedPtr<Chunk>(chunk, false));
-      index_.DeleteConditional(initial->MinKey(), initial);
-      Chunk::Destroy(initial);
-    } else {
-      tail->next.Store(MarkedPtr<Chunk>(chunk, false));
-    }
-    index_.PutUnconditional(chunk->MinKey(), chunk);
-    tail = chunk;
-    begin = end;
+  if (sorted_entries.empty()) return;  // keep the initial empty chunk
+  std::vector<Item> items;
+  items.reserve(sorted_entries.size());
+  for (const auto& [okey, ovalue] : sorted_entries) {
+    const KeyView key = Layout::ViewKey(okey);
+    const ValueView value = Layout::ViewValue(ovalue);
+    CheckEntry(key, value);
+    KIWI_ASSERT(!Layout::IsTombstone(value), "bulk-load value is reserved");
+    KIWI_ASSERT(items.empty() || Layout::KeyLess(items.back().key, key),
+                "bulk-load keys must be strictly ascending");
+    items.push_back(Item{key, /*version=*/1, 0, value});
+  }
+  // Carve exactly as a rebalance build would, swap the chain in for the
+  // initial empty chunk (single-threaded ctor) and index it eagerly.
+  const BuiltSection section = CarveChunks(items, Layout::MinUserKey(),
+                                           nullptr, Chunk::Status::kNormal);
+  Chunk* initial = sentinel_->Next();
+  sentinel_->next.Store(MarkedPtr<Chunk>(section.first, false));
+  index_.DeleteConditional(initial->MinKey(), initial);
+  Chunk::Destroy(initial);
+  for (Chunk* c = section.first; c != nullptr; c = c->Next()) {
+    index_.PutUnconditional(c->MinKey(), c);
   }
 }
 
@@ -179,12 +130,18 @@ auto KiWiMapT<Layout>::LocateChunk(KeyView key) const -> Chunk* {
 }
 
 template <typename Layout>
-void KiWiMapT<Layout>::Put(KeyView key, ValueView value) {
-  KIWI_ASSERT(!Layout::IsTombstone(value), "value reserved for tombstones");
+void KiWiMapT<Layout>::CheckEntry(KeyView key,
+                                  [[maybe_unused]] ValueView value) const {
+  KIWI_ASSERT(Layout::IsUserKey(key), "key below the user key domain");
   if constexpr (Layout::kHasArena) {
     KIWI_ASSERT(Layout::EntryArenaBytes(key, value) <= max_entry_bytes_,
                 "entry exceeds max_entry_bytes");
   }
+}
+
+template <typename Layout>
+void KiWiMapT<Layout>::Put(KeyView key, ValueView value) {
+  KIWI_ASSERT(!Layout::IsTombstone(value), "value reserved for tombstones");
   KIWI_OBS_INC(obs_, puts);
   KIWI_OBS_SAMPLED_TIMER(obs_, obs::Latency::kPut, timer);
   PutImpl(key, value);
@@ -196,10 +153,6 @@ void KiWiMapT<Layout>::Remove(KeyView key) {
   // removes the pair").  The tombstone flows through the same protocol and
   // is filtered on the read side; rebalance compacts it away.  Latencies
   // land in the put histogram (a remove IS a put).
-  if constexpr (Layout::kHasArena) {
-    KIWI_ASSERT(Layout::KeyArenaBytes(key) <= max_entry_bytes_,
-                "key exceeds max_entry_bytes");
-  }
   KIWI_OBS_INC(obs_, removes);
   KIWI_OBS_SAMPLED_TIMER(obs_, obs::Latency::kPut, timer);
   PutImpl(key, Layout::TombstoneValue());
@@ -207,7 +160,7 @@ void KiWiMapT<Layout>::Remove(KeyView key) {
 
 template <typename Layout>
 void KiWiMapT<Layout>::PutImpl(KeyView key, ValueView value) {
-  KIWI_ASSERT(Layout::IsUserKey(key), "key below the user key domain");
+  CheckEntry(key, value);
   const std::size_t slot = ThreadRegistry::CurrentSlot();
   const bool traced = KIWI_TRACE_SAMPLED(kPutOp, Layout::TraceKey(key),
                                          Layout::TraceValue(value));
@@ -404,12 +357,8 @@ void KiWiMapT<Layout>::PutBatch(std::span<const Entry> entries) {
     }
     const KeyView key = Layout::ViewKey(sorted[r].first);
     const ValueView value = Layout::ViewValue(sorted[r].second);
-    KIWI_ASSERT(Layout::IsUserKey(key), "key below the user key domain");
+    CheckEntry(key, value);
     KIWI_ASSERT(!Layout::IsTombstone(value), "value reserved for tombstones");
-    if constexpr (Layout::kHasArena) {
-      KIWI_ASSERT(Layout::EntryArenaBytes(key, value) <= max_entry_bytes_,
-                  "entry exceeds max_entry_bytes");
-    }
     batch.push_back(Item{key, kNoVersion, 0, value});
   }
   KIWI_TRACE(kBatchStart, entries.size(), batch.size());
@@ -545,24 +494,32 @@ std::size_t KiWiMapT<Layout>::PutRunPerOp(Chunk* chunk,
 
 template <typename Layout>
 std::optional<typename Layout::OwnedValue> KiWiMapT<Layout>::Get(KeyView key) {
-  KIWI_ASSERT(Layout::IsUserKey(key), "key below the user key domain");
   KIWI_OBS_INC(obs_, gets);
   KIWI_OBS_SAMPLED_TIMER(obs_, obs::Latency::kGet, timer);
+  std::optional<OwnedValue> value = ReadKey(key, kMaxReadVersion);
+  (void)KIWI_TRACE_SAMPLED(kGetOp, Layout::TraceKey(key), value.has_value());
+  if (value) KIWI_OBS_INC(obs_, get_hits);
+  return value;
+}
+
+template <typename Layout>
+std::optional<typename Layout::OwnedValue> KiWiMapT<Layout>::ReadKey(
+    KeyView key, Version max_version) {
+  KIWI_ASSERT(Layout::IsUserKey(key), "key below the user key domain");
   reclaim::EbrGuard guard(ebr_);
   Chunk* chunk = LocateChunk(key);
   // Help any pending put to this key acquire a version: ignoring it could
-  // order this get inconsistently with a later scan (paper Figure 2).  The
-  // fuzz mutant kSkipGetHelp re-breaks exactly this line.
+  // order this read inconsistently with a later scan (paper Figure 2), and
+  // a put that loaded GV before a snapshot's F&I could self-assign a
+  // version at or below its read point after we looked.  The fuzz mutant
+  // kSkipGetHelp re-breaks exactly this line.
   if (!TestHooks::MutantEnabled(TestHooks::kSkipGetHelp)) [[likely]] {
     chunk->HelpPendingPuts(gv_, key, key);
   }
   TestHooks::Run(TestHooks::get_after_help);
   const typename Chunk::LatestResult latest =
-      chunk->FindLatest(key, kMaxReadVersion);
-  const bool hit = latest.found && !latest.is_tombstone;
-  (void)KIWI_TRACE_SAMPLED(kGetOp, Layout::TraceKey(key), hit);
-  if (!hit) return std::nullopt;
-  KIWI_OBS_INC(obs_, get_hits);
+      chunk->FindLatest(key, max_version);
+  if (!latest.found || latest.is_tombstone) return std::nullopt;
   return Layout::OwnValue(latest.value);
 }
 
@@ -589,58 +546,62 @@ std::size_t KiWiMapT<Layout>::ScanImpl(
   if (to_key != nullptr && Layout::KeyLess(*to_key, from_key)) return 0;
   KIWI_OBS_INC(obs_, scans);
   KIWI_OBS_SAMPLED_TIMER(obs_, obs::Latency::kScan, timer);
-  const std::size_t slot = ThreadRegistry::CurrentSlot();
-  PsaEntry& entry = psa_.Slot(slot);
+  PsaEntry& entry = psa_.Slot(ThreadRegistry::CurrentSlot());
   const bool traced = KIWI_TRACE_SAMPLED(
       kScanBegin, Layout::TraceKey(from_key),
       to_key != nullptr ? Layout::TraceKey(*to_key) : ~std::uint64_t{0});
 
-  // -- 1. acquire a read point, synchronizing with rebalance via the PSA
-  //    (paper lines 32-35): publish intent, F&I GV, install (or adopt the
-  //    version a helping rebalance installed).  The publish-before-F&I
-  //    order is load-bearing (fuzz mutant kSkipScanPublish re-breaks it):
-  //    a rebalance that cannot see this scan's entry may compact away
-  //    versions at or below its read point.  Byte layouts publish the
-  //    range as normalized prefixes — conservative, never lossy.
-  std::uint64_t seq = 0;
-  Version read_point;
+  // -- 1. acquire a read point, synchronizing with rebalance via the PSA.
+  //    Byte layouts publish the range as normalized prefixes —
+  //    conservative, never lossy.  Fuzz mutant kSkipScanPublish skips the
+  //    publication.
+  ReadPin pin{};
   const bool published =
       !TestHooks::MutantEnabled(TestHooks::kSkipScanPublish);
   if (published) [[likely]] {
-    seq = entry.PublishPending(Layout::PsaLow(from_key),
-                               to_key != nullptr ? Layout::PsaHigh(*to_key)
-                                                 : Layout::PsaMax());
-    TestHooks::Run(TestHooks::scan_before_version_install);
-    const Version fetched = gv_.FetchIncrement();
-    read_point = entry.InstallOwn(seq, fetched);
-    if (traced) KIWI_TRACE(kScanVersion, read_point, read_point != fetched);
+    pin = AcquireReadPoint(entry, Layout::PsaLow(from_key),
+                           to_key != nullptr ? Layout::PsaHigh(*to_key)
+                                             : Layout::PsaMax());
+    if (traced) KIWI_TRACE(kScanVersion, pin.version, pin.helped);
   } else {
-    read_point = gv_.FetchIncrement();  // mutant: invisible to rebalance
+    pin.version = gv_.FetchIncrement();  // mutant: invisible to rebalance
     // Fire the same site so the fuzzer can stall the mutant scan in its
     // vulnerable window (read point taken, chunks not yet read).
     TestHooks::Run(TestHooks::scan_before_version_install);
   }
 
-  // -- 2. read every key in range at `read_point`.
-  std::size_t emitted = 0;
-  {
-    reclaim::EbrGuard guard(ebr_);
-    Chunk* chunk = LocateChunk(from_key);
-    while (chunk != nullptr &&
-           (to_key == nullptr || Layout::KeyLeq(chunk->MinKey(), *to_key))) {
-      if (to_key != nullptr) {
-        chunk->HelpPendingPuts(gv_, from_key, *to_key);
-      } else {
-        chunk->HelpAllPendingPuts(gv_);
-      }
-      EmitChunkRange(chunk, from_key, to_key, read_point, yield, &emitted);
-      chunk = chunk->Next();
-    }
-  }
+  // -- 2. read every key in range at the read point.
+  const std::size_t emitted = ReadRange(from_key, to_key, pin.version, yield);
 
-  if (published) [[likely]] entry.Clear(seq);
+  if (published) [[likely]] entry.Clear(pin.seq);
   KIWI_OBS_ADD(obs_, scan_keys, emitted);
   if (traced) KIWI_TRACE(kScanEnd, emitted, 0);
+  return emitted;
+}
+
+template <typename Layout>
+auto KiWiMapT<Layout>::AcquireReadPoint(PsaEntry& entry, PsaKey low,
+                                        PsaKey high) -> ReadPin {
+  const std::uint64_t seq = entry.PublishPending(low, high);
+  TestHooks::Run(TestHooks::scan_before_version_install);
+  const Version fetched = gv_.FetchIncrement();
+  const Version version = entry.InstallOwn(seq, fetched);
+  return ReadPin{version, seq, version != fetched};
+}
+
+template <typename Layout>
+std::size_t KiWiMapT<Layout>::ReadRange(
+    KeyView from_key, const KeyView* to_key, Version read_point,
+    const std::function<void(KeyView, ValueView)>& yield) {
+  std::size_t emitted = 0;
+  reclaim::EbrGuard guard(ebr_);
+  Chunk* chunk = LocateChunk(from_key);
+  while (chunk != nullptr &&
+         (to_key == nullptr || Layout::KeyLeq(chunk->MinKey(), *to_key))) {
+    chunk->HelpPendingPuts(gv_, from_key, to_key);
+    EmitChunkRange(chunk, from_key, to_key, read_point, yield, &emitted);
+    chunk = chunk->Next();
+  }
   return emitted;
 }
 
@@ -661,14 +622,7 @@ void KiWiMapT<Layout>::EmitChunkRange(
   // Pending puts first (PPA-before-list, see Chunk::FindLatest), reduced to
   // the best candidate per key.
   std::vector<Item> pending;
-  if (to != nullptr) {
-    chunk->CollectPpaItems(pending, from, *to, read_point);
-  } else {
-    chunk->CollectAllPpaItems(pending, read_point);
-    std::erase_if(pending, [&from](const Item& item) {
-      return Layout::KeyLess(item.key, from);
-    });
-  }
+  chunk->CollectPpaItems(pending, from, to, read_point);
   std::sort(pending.begin(), pending.end(), Chunk::ItemBefore);
   std::size_t pi = 0;
   const auto pending_best = [&pending](std::size_t at) {
@@ -747,11 +701,11 @@ void KiWiMapT<Layout>::EmitChunkRange(
 template <typename Layout>
 KiWiMapT<Layout>::Snapshot::Snapshot(KiWiMapT& map)
     : map_(map), slot_(ThreadRegistry::CurrentSlot()) {
-  // Identical to a scan's read-point acquisition (Algorithm 2 lines 32-35),
-  // over the full key range — the entry stays pinned until destruction so
-  // rebalance compaction preserves every version this view may read.
-  // Snapshots use their own PSA arrays so concurrent scans by this thread
-  // cannot displace the pin; only this thread touches its sub-slots.
+  // A scan's read-point acquisition over the full key range — the entry
+  // stays pinned until destruction so rebalance compaction preserves every
+  // version this view may read.  Snapshots use their own PSA arrays so
+  // concurrent scans by this thread cannot displace the pin; only this
+  // thread touches its sub-slots.
   sub_slot_ = kMaxSnapshotsPerThread;
   for (std::size_t i = 0; i < kMaxSnapshotsPerThread; ++i) {
     if (map_.snapshot_psa_[i].Slot(slot_).Load().ver == kNoVersion) {
@@ -762,10 +716,11 @@ KiWiMapT<Layout>::Snapshot::Snapshot(KiWiMapT& map)
   KIWI_ASSERT(sub_slot_ < kMaxSnapshotsPerThread,
               "a thread may hold at most kMaxSnapshotsPerThread open "
               "Snapshots per map");
-  PsaEntry& entry = map_.snapshot_psa_[sub_slot_].Slot(slot_);
-  seq_ = entry.PublishPending(Layout::PsaMin(), Layout::PsaMax());
-  const Version fetched = map_.gv_.FetchIncrement();
-  read_point_ = entry.InstallOwn(seq_, fetched);
+  const ReadPin pin = map_.AcquireReadPoint(
+      map_.snapshot_psa_[sub_slot_].Slot(slot_), Layout::PsaMin(),
+      Layout::PsaMax());
+  read_point_ = pin.version;
+  seq_ = pin.seq;
   KIWI_OBS_INC(map_.obs_, snapshots);
   KIWI_TRACE(kSnapshotOpen, read_point_, 0);
 }
@@ -780,17 +735,7 @@ KiWiMapT<Layout>::Snapshot::~Snapshot() {
 template <typename Layout>
 std::optional<typename Layout::OwnedValue> KiWiMapT<Layout>::Snapshot::Get(
     KeyView key) {
-  KIWI_ASSERT(Layout::IsUserKey(key), "key below the user key domain");
-  reclaim::EbrGuard guard(map_.ebr_);
-  Chunk* chunk = map_.LocateChunk(key);
-  // Helping is still required at a pinned read point: a put that loaded GV
-  // before our fetch-and-increment could otherwise self-assign a version at
-  // or below read_point_ after we looked.
-  chunk->HelpPendingPuts(map_.gv_, key, key);
-  const typename Chunk::LatestResult latest =
-      chunk->FindLatest(key, read_point_);
-  if (!latest.found || latest.is_tombstone) return std::nullopt;
-  return Layout::OwnValue(latest.value);
+  return map_.ReadKey(key, read_point_);
 }
 
 template <typename Layout>
@@ -801,16 +746,7 @@ std::size_t KiWiMapT<Layout>::Snapshot::Scan(
     from_key = Layout::MinUserKey();
   }
   if (Layout::KeyLess(to_key, from_key)) return 0;
-  std::size_t emitted = 0;
-  reclaim::EbrGuard guard(map_.ebr_);
-  Chunk* chunk = map_.LocateChunk(from_key);
-  while (chunk != nullptr && Layout::KeyLeq(chunk->MinKey(), to_key)) {
-    chunk->HelpPendingPuts(map_.gv_, from_key, to_key);
-    map_.EmitChunkRange(chunk, from_key, &to_key, read_point_, yield,
-                        &emitted);
-    chunk = chunk->Next();
-  }
-  return emitted;
+  return map_.ReadRange(from_key, &to_key, read_point_, yield);
 }
 
 template <typename Layout>

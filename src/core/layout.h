@@ -101,7 +101,6 @@ struct Int64Layout {
   /// Arena bytes an entry consumes (key + value; tombstones carry no value
   /// bytes).  Zero for fixed-width layouts.
   static std::size_t EntryArenaBytes(KeyView, ValueView) { return 0; }
-  static std::size_t KeyArenaBytes(KeyView) { return 0; }
 
   // PSA ranges are exact for int64.
   static PsaKey PsaLow(KeyView key) { return key; }
@@ -222,7 +221,6 @@ struct ByteLayout {
   static std::size_t EntryArenaBytes(KeyView key, ValueView value) {
     return key.size() + (IsTombstone(value) ? 0 : value.size());
   }
-  static std::size_t KeyArenaBytes(KeyView key) { return key.size(); }
 
   // PSA ranges are published as prefixes — conservative, never lossy: a
   // range check in the prefix domain can claim a spurious overlap (forcing

@@ -336,12 +336,11 @@ Version KiWiMapT<Layout>::ComputeMinVersion(KeyView from, KeyView to_exclusive,
 
   const std::size_t high_water = ThreadRegistry::HighWater();
   // Transient scans and pinned Snapshot views are tracked in separate
-  // arrays with identical protocols.
-  std::vector<Psa*> arrays{&psa_};
-  for (Psa& snapshot_array : snapshot_psa_) arrays.push_back(&snapshot_array);
-  for (Psa* array : arrays) {
+  // arrays with identical protocols: visit psa_, then each snapshot array.
+  for (std::size_t i = 0; i <= kMaxSnapshotsPerThread; ++i) {
+    Psa& array = i == 0 ? psa_ : snapshot_psa_[i - 1];
     for (std::size_t t = 0; t < high_water; ++t) {
-      PsaEntry& entry = array->Slot(t);
+      PsaEntry& entry = array.Slot(t);
       const typename PsaEntry::VerSeq vs = entry.Load();
       if (vs.ver == kNoVersion) continue;
       // Byte layouts answer in the normalized-prefix domain — conservative
@@ -473,12 +472,23 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
     }
   }
 
-  // Carve into infant chunks, filled to kFillRatio, never splitting one
-  // key's version run across a boundary (a get must find every version of
-  // its key in the single chunk covering it).  Byte layouts budget each
-  // segment's arena bytes (min_key copy + keys + values) to the same fill
-  // fraction, so post-build puts have byte headroom matching the cell
-  // headroom.
+  // Carve the survivors into infant chunks (stage 7 normalizes them).
+  BuiltSection section = CarveChunks(kept, ro->first->MinKey(), ro->first,
+                                     Chunk::Status::kInfant);
+  section.puts_included = puts_included;
+  return section;
+}
+
+template <typename Layout>
+auto KiWiMapT<Layout>::CarveChunks(std::span<const Item> items,
+                                   KeyView first_min_key, Chunk* parent,
+                                   typename Chunk::Status status)
+    -> BuiltSection {
+  // Filled to kFillRatio, never splitting one key's version run across a
+  // boundary (a get must find every version of its key in the single chunk
+  // covering it).  Byte layouts budget each segment's arena bytes (min_key
+  // copy + keys + values) to the same fill fraction, so later puts have
+  // byte headroom matching the cell headroom.
   const std::uint32_t capacity = policy_.config().chunk_capacity;
   const std::uint32_t fill = std::clamp<std::uint32_t>(
       static_cast<std::uint32_t>(kFillRatio * capacity), 1, capacity);
@@ -501,27 +511,27 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
   };
   std::vector<Segment> segments;
   std::size_t begin = 0;
-  while (begin < kept.size()) {
+  while (begin < items.size()) {
     std::size_t seg_bytes = 0;
     if constexpr (Layout::kHasArena) {
-      seg_bytes = segments.empty() ? ro->first->MinKey().size()
-                                   : kept[begin].key.size();
+      seg_bytes = segments.empty() ? first_min_key.size()
+                                   : items[begin].key.size();
     }
     std::size_t end = begin;
-    while (end < kept.size() && end - begin < fill) {
+    while (end < items.size() && end - begin < fill) {
       if constexpr (Layout::kHasArena) {
         const std::size_t need =
-            Layout::EntryArenaBytes(kept[end].key, kept[end].value);
+            Layout::EntryArenaBytes(items[end].key, items[end].value);
         if (end > begin && seg_bytes + need > arena_fill) break;
         seg_bytes += need;
       }
       ++end;
     }
     // Extend to the end of the key run straddling the boundary.
-    while (end < kept.size() &&
-           Layout::KeyEq(kept[end].key, kept[end - 1].key)) {
+    while (end < items.size() &&
+           Layout::KeyEq(items[end].key, items[end - 1].key)) {
       if constexpr (Layout::kHasArena) {
-        seg_bytes += Layout::EntryArenaBytes(kept[end].key, kept[end].value);
+        seg_bytes += Layout::EntryArenaBytes(items[end].key, items[end].value);
       }
       ++end;
     }
@@ -543,13 +553,13 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
       // (the cell-count bound is safe by construction: fill + sparse <
       // capacity, but a byte-budget-limited tail can be cell-sparse yet
       // byte-heavy).
-      fold = fold && prev.bytes + tail.bytes - kept[tail.begin].key.size() <=
+      fold = fold && prev.bytes + tail.bytes - items[tail.begin].key.size() <=
                          arena_fill;
     }
     if (fold) {
       prev.end = tail.end;
       if constexpr (Layout::kHasArena) {
-        prev.bytes += tail.bytes - kept[tail.begin].key.size();
+        prev.bytes += tail.bytes - items[tail.begin].key.size();
       }
       segments.pop_back();
     }
@@ -576,14 +586,13 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
       }
     }
     (void)seg_bytes;
-    // The first chunk inherits the sector's minKey so the covered range is
+    // The first chunk starts at `first_min_key` (a rebuilt sector's min key,
+    // or the minimal user key for a bulk load) so the covered range is
     // exactly preserved; later chunks start at their first key.
-    const KeyView min_key =
-        s == 0 ? ro->first->MinKey() : kept[seg_begin].key;
-    auto* chunk = Chunk::Create(
-        pool_, min_key, capacity, ro->first, Chunk::Status::kInfant,
-        std::span<const Item>(kept.data() + seg_begin, seg_end - seg_begin),
-        seg_arena);
+    const KeyView min_key = s == 0 ? first_min_key : items[seg_begin].key;
+    auto* chunk = Chunk::Create(pool_, min_key, capacity, parent, status,
+                                items.subspan(seg_begin, seg_end - seg_begin),
+                                seg_arena);
     KIWI_OBS_INC(obs_, chunks_created);
     if (prev_chunk != nullptr) {
       prev_chunk->next.Store(MarkedPtr<Chunk>(chunk, false));
@@ -594,7 +603,6 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
     section.count++;
   }
   section.last = prev_chunk;
-  section.puts_included = puts_included;
   return section;
 }
 
@@ -688,7 +696,7 @@ void KiWiMapT<Layout>::Normalize(RebalanceObject* ro) {
        c = c->Next()) {
     while (true) {
       typename index::ChunkIndexT<Layout>::Handle prev =
-          index_.LoadPrev(c->MinKey());
+          index_.Lookup(c->MinKey());
       if (c->status.load(std::memory_order_seq_cst) ==
           Chunk::Status::kFrozen) {
         break;

@@ -5,8 +5,8 @@
 // by rebalance), so every user of Lookup must continue with a traversal of
 // the chunk list.  Required API, from the paper:
 //
-//   - Lookup(k)/LoadPrev(k): wait-free; the chunk mapped to the highest
-//     indexed key that does not exceed k.
+//   - Lookup(k) (the paper's loadPrev): wait-free; the chunk mapped to the
+//     highest indexed key that does not exceed k.
 //   - PutConditional(k, prev, c): map k to c provided the highest indexed
 //     key not exceeding k is currently mapped to prev (semantic LL/SC).
 //   - DeleteConditional(k, c): remove k only if currently mapped to c.
@@ -19,7 +19,7 @@
 //
 // Readers may hold references to nodes a concurrent writer unlinks, so
 // unlinked nodes are retired through the owning map's EBR domain; callers
-// must invoke Lookup/LoadPrev inside an EbrGuard.
+// must invoke Lookup inside an EbrGuard.
 //
 // Templated on the core key Layout (core/layout.h): nodes own their key
 // (a plain int64 for Int64Layout, a std::string for ByteLayout — owning is
@@ -90,9 +90,6 @@ class ChunkIndexT {
     return pred == head_ ? nullptr
                          : pred->handle.load(std::memory_order_acquire);
   }
-
-  /// Paper name for the same query, used by the normalize stage.
-  Handle LoadPrev(KeyView key) const { return Lookup(key); }
 
   /// Insert/overwrite the mapping key -> handle iff Lookup(key) would
   /// currently return prev.  Returns true on success.

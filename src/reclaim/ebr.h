@@ -119,7 +119,6 @@ class Ebr {
   void Enter(std::size_t slot);
   void Exit(std::size_t slot);
   bool TryAdvanceEpoch();
-  std::size_t FreeUpTo(std::uint64_t safe_epoch);
 
   std::atomic<std::uint64_t> global_epoch_{0};
   Slot slots_[kMaxThreads];

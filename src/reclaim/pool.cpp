@@ -118,7 +118,7 @@ void SlabPool::Deallocate(void* block, std::size_t bytes) {
   pooled_bytes_.fetch_add(rounded, std::memory_order_relaxed);
 
   ClassCache& cache = caches_[ThreadRegistry::CurrentSlot()].classes[cls];
-  if (cache.count < thread_cache_slabs_) {
+  if (cache.count < kThreadCacheSlabs) {
     slab->next = cache.head;
     cache.head = slab;
     cache.count++;

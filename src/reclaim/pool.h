@@ -51,11 +51,10 @@ class SlabPool {
   static constexpr std::size_t kAlignment = kCacheLineSize;
   /// Distinct slab sizes the pool will track; later sizes go unpooled.
   static constexpr std::size_t kMaxSizeClasses = 8;
-  /// Default bound on free slabs cached per thread per class.
-  static constexpr std::uint32_t kDefaultThreadCacheSlabs = 8;
+  /// Bound on free slabs cached per thread per class.
+  static constexpr std::uint32_t kThreadCacheSlabs = 8;
 
-  explicit SlabPool(std::uint32_t thread_cache_slabs = kDefaultThreadCacheSlabs)
-      : thread_cache_slabs_(thread_cache_slabs) {}
+  SlabPool() = default;
   ~SlabPool();
   SlabPool(const SlabPool&) = delete;
   SlabPool& operator=(const SlabPool&) = delete;
@@ -121,7 +120,6 @@ class SlabPool {
   /// Returns kMaxSizeClasses when the table is full (unpooled).
   std::size_t ClassFor(std::size_t rounded, bool create);
 
-  const std::uint32_t thread_cache_slabs_;
   SizeClass classes_[kMaxSizeClasses];
   ThreadCache caches_[kMaxThreads];
 

@@ -3,6 +3,7 @@
 // helping, and harvest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -69,11 +70,11 @@ TEST(ChunkBatched, BinarySearchFindsStrictPredecessor) {
   for (int i = 0; i < 16; ++i) items.push_back(Item{10 * (i + 1), 1, 0, i});
   ChunkPtr chunk_owner = MakeChunkWith(items);
   Chunk& chunk = *chunk_owner;
-  EXPECT_EQ(chunk.BatchedPredecessor(5), 0);     // sentinel
-  EXPECT_EQ(chunk.BatchedPredecessor(10), 0);    // strict: 10 not < 10
-  EXPECT_EQ(chunk.BatchedPredecessor(11), 1);
-  EXPECT_EQ(chunk.BatchedPredecessor(100), 9);
-  EXPECT_EQ(chunk.BatchedPredecessor(10000), 16);
+  EXPECT_EQ(chunk.BatchedPredecessorProbe(5), 0);     // sentinel
+  EXPECT_EQ(chunk.BatchedPredecessorProbe(10), 0);    // strict: 10 not < 10
+  EXPECT_EQ(chunk.BatchedPredecessorProbe(11), 1);
+  EXPECT_EQ(chunk.BatchedPredecessorProbe(100), 9);
+  EXPECT_EQ(chunk.BatchedPredecessorProbe(10000), 16);
 }
 
 TEST(ChunkBatched, VersionsDescendWithinKey) {
@@ -168,6 +169,59 @@ TEST(ChunkPpa, HelpRespectsKeyRange) {
   chunk.ppa[slot].store(Chunk::kPpaIdle);
 }
 
+// Both PPA loops take [from, *to]: the lower bound always holds, the upper
+// bound applies exactly when given and not at all when `to` is null.
+TEST(ChunkPpa, RangeLoopsKeepFromAndApplyOptionalTo) {
+  GlobalVersion gv;
+  ChunkPtr chunk_owner = MakeChunkWith({});
+  Chunk& chunk = *chunk_owner;
+  // Cells 1-4: below the range, on each bound, above the range.
+  const Key keys[] = {10, 20, 30, 40};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    chunk.v[i] = keys[i];
+    chunk.k[i + 1].key = keys[i];
+    chunk.k[i + 1].val_ptr.store(static_cast<std::int32_t>(i));
+  }
+  const Key from = 20;
+  const Key to = 30;
+  const std::size_t slot = ThreadRegistry::CurrentSlot();
+
+  // Versioned entries, one slot each.
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    chunk.ppa[(slot + i) % kMaxThreads].store(Chunk::PackPpa(5, i + 1));
+  }
+  const auto collected = [&](const Key* upper) {
+    std::vector<Item> items;
+    chunk.CollectPpaItems(items, from, upper, kMaxReadVersion);
+    std::vector<Key> got;
+    for (const Item& item : items) got.push_back(item.key);
+    std::sort(got.begin(), got.end());
+    return got;
+  };
+  EXPECT_EQ(collected(&to), (std::vector<Key>{20, 30}));
+  EXPECT_EQ(collected(nullptr), (std::vector<Key>{20, 30, 40}));
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    chunk.ppa[(slot + i) % kMaxThreads].store(Chunk::kPpaIdle);
+  }
+
+  // Pending entries.  HelpPendingPuts scans slots up to the registry's
+  // high-water mark, so each entry takes this thread's slot in turn.
+  const auto helped = [&](std::uint32_t cell, const Key* upper) {
+    chunk.ppa[slot].store(Chunk::PackPpa(Chunk::kPpaVerBottom, cell));
+    chunk.HelpPendingPuts(gv, from, upper);
+    const bool versioned =
+        Chunk::PpaVer(chunk.ppa[slot].load()) != Chunk::kPpaVerBottom;
+    chunk.ppa[slot].store(Chunk::kPpaIdle);
+    return versioned;
+  };
+  const bool in_bounded[] = {false, true, true, false};
+  const bool in_unbounded[] = {false, true, true, true};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(helped(i + 1, &to), in_bounded[i]) << keys[i];
+    EXPECT_EQ(helped(i + 1, nullptr), in_unbounded[i]) << keys[i];
+  }
+}
+
 TEST(ChunkPpa, FreezeBlocksVersionlessEntries) {
   ChunkPtr chunk_owner = MakeChunkWith({});
   Chunk& chunk = *chunk_owner;
@@ -230,23 +284,11 @@ TEST(ChunkHarvest, DuplicateKeyVersionKeepsLargerValPtr) {
   chunk.ppa[slot].store(Chunk::kPpaIdle);
 }
 
-TEST(ChunkGeometry, CoversKeyUsesNextMinKey) {
-  ChunkPtr low_owner(Chunk::Create(TestPool(), kMinUserKey, 8, nullptr,
-                                   Chunk::Status::kNormal),
-                     &Chunk::Destroy);
-  ChunkPtr high_owner(Chunk::Create(TestPool(), 1000, 8, nullptr,
-                                    Chunk::Status::kNormal),
-                      &Chunk::Destroy);
-  Chunk& low = *low_owner;
-  Chunk& high = *high_owner;
-  low.next.Store(MarkedPtr<Chunk>(&high, false));
-  EXPECT_TRUE(low.CoversKey(kMinUserKey));
-  EXPECT_TRUE(low.CoversKey(999));
-  EXPECT_FALSE(low.CoversKey(1000));
-  EXPECT_TRUE(high.CoversKey(1000));
-  EXPECT_TRUE(high.CoversKey(kMaxUserKey));
-  EXPECT_FALSE(high.CoversKey(5));
-  EXPECT_GT(low.MemoryFootprint(), 8 * sizeof(Chunk::Cell));
+TEST(ChunkGeometry, MemoryFootprintCoversTheCellArray) {
+  ChunkPtr owner(Chunk::Create(TestPool(), kMinUserKey, 8, nullptr,
+                               Chunk::Status::kNormal),
+                 &Chunk::Destroy);
+  EXPECT_GT(owner->MemoryFootprint(), 8 * sizeof(Chunk::Cell));
 }
 
 // ---- byte-layout arenas --------------------------------------------------

@@ -16,9 +16,22 @@ namespace {
 
 void YieldHook() { std::this_thread::yield(); }
 
+// A scan of all `keys` keys while one writer sweeps them in rounds: every
+// key present, values non-increasing by key, at most one round apart.
+void ExpectUntornScan(const std::vector<KiWiMap::Entry>& out, Key keys) {
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(keys));
+  Value previous = out.front().second;
+  for (const auto& [key, value] : out) {
+    ASSERT_LE(value, previous) << "torn scan with stalled puts";
+    previous = value;
+  }
+  ASSERT_LE(out.front().second - out.back().second, 1);
+}
+
 // Widen the window between a put's PPA publication and its version CAS:
 // every concurrent scan/get must help (paper Figure 2), and order must stay
-// consistent.  The helping path is asserted via the puts_helped stat.
+// consistent — through Scan, ScanFrom and a Snapshot's Scan alike.  The
+// helping path is asserted via the puts_helped stat.
 TEST(RaceInjection, ScansHelpStalledPuts) {
   TestHooks::Scoped install(TestHooks::put_before_version_cas, YieldHook);
   constexpr Key kKeys = 64;
@@ -40,13 +53,13 @@ TEST(RaceInjection, ScansHelpStalledPuts) {
   for (int i = 0; i < iters || rounds.load(std::memory_order_acquire) < 3;
        ++i) {
     map.Scan(0, kKeys - 1, out);
-    ASSERT_EQ(out.size(), static_cast<std::size_t>(kKeys));
-    Value previous = out.front().second;
-    for (const auto& [key, value] : out) {
-      ASSERT_LE(value, previous) << "torn scan with stalled puts";
-      previous = value;
-    }
-    ASSERT_LE(out.front().second - out.back().second, 1);
+    ASSERT_NO_FATAL_FAILURE(ExpectUntornScan(out, kKeys));
+    out.clear();
+    map.ScanFrom(0, [&out](Key k, Value v) { out.emplace_back(k, v); });
+    ASSERT_NO_FATAL_FAILURE(ExpectUntornScan(out, kKeys));
+    KiWiMap::Snapshot snapshot(map);
+    snapshot.Scan(0, kKeys - 1, out);
+    ASSERT_NO_FATAL_FAILURE(ExpectUntornScan(out, kKeys));
   }
   stop.store(true, std::memory_order_release);
   writer.join();
@@ -59,7 +72,7 @@ TEST(RaceInjection, ScansHelpStalledPuts) {
 
 // Same window against gets: a get racing the stalled put must either help
 // it (and may see it) or order itself before — never deadlock or misorder
-// with a later scan.
+// with a later scan.  A Snapshot opened after a put returned reads it too.
 TEST(RaceInjection, GetsHelpStalledPuts) {
   TestHooks::Scoped install(TestHooks::put_before_version_cas, YieldHook);
   KiWiMap map;
@@ -78,6 +91,8 @@ TEST(RaceInjection, GetsHelpStalledPuts) {
       const Value floor = published.load(std::memory_order_seq_cst);
       if (floor < 0) continue;
       ASSERT_GE(map.Get(5).value_or(-1), floor);
+      KiWiMap::Snapshot snapshot(map);
+      ASSERT_GE(snapshot.Get(5).value_or(-1), floor);
     }
   });
   writer.join();

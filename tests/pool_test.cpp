@@ -71,9 +71,9 @@ TEST(SlabPool, DistinctSizesLandInDistinctClasses) {
 }
 
 TEST(SlabPool, ThreadCacheBoundSpillsToGlobalList) {
-  constexpr std::uint32_t kBound = 2;
-  SlabPool pool(kBound);
-  constexpr std::size_t kSlabs = 6;
+  constexpr std::uint32_t kBound = SlabPool::kThreadCacheSlabs;
+  SlabPool pool;
+  constexpr std::size_t kSlabs = kBound + 4;
   constexpr std::size_t kBytes = 512;
   void* blocks[kSlabs];
   for (void*& b : blocks) b = pool.Allocate(kBytes);
@@ -121,8 +121,8 @@ TEST(SlabPool, SizesBeyondClassTableGoUnpooled) {
 }
 
 TEST(SlabPool, TrimReleasesPooledStock) {
-  SlabPool pool(2);
-  constexpr std::size_t kSlabs = 5;
+  SlabPool pool;
+  constexpr std::size_t kSlabs = SlabPool::kThreadCacheSlabs + 3;
   void* blocks[kSlabs];
   for (void*& b : blocks) b = pool.Allocate(256);
   for (void* b : blocks) pool.Deallocate(b, 256);
@@ -188,8 +188,9 @@ TEST(SlabPool, EbrDefersRecyclingUntilGracePeriod) {
 }
 
 TEST(SlabPoolStress, MultithreadedChurn) {
-  constexpr std::uint32_t kBound = 4;  // small: force spill traffic
-  SlabPool pool(kBound);
+  // Hold up to twice the cache bound so deallocations spill.
+  constexpr std::size_t kHeld = 2 * SlabPool::kThreadCacheSlabs;
+  SlabPool pool;
   constexpr int kThreads = 4;
   constexpr int kIters = 4000;
   static constexpr std::size_t kSizes[] = {192, 1024, 3072};
@@ -209,7 +210,7 @@ TEST(SlabPoolStress, MultithreadedChurn) {
         std::memset(block, static_cast<int>(rng), bytes);
         held.emplace_back(block, bytes);
         total_allocs.fetch_add(1, std::memory_order_relaxed);
-        if (held.size() > 8 || (rng & 1)) {
+        if (held.size() > kHeld || (rng & 1)) {
           const std::size_t victim = (rng >> 17) % held.size();
           pool.Deallocate(held[victim].first, held[victim].second);
           held[victim] = held.back();
