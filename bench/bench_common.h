@@ -41,11 +41,6 @@ struct BenchConfig {
   /// DebugReport as an `obsjson,<figure>,<series>,<json>` row (rendered by
   /// scripts/render_results.py; schema in docs/OBSERVABILITY.md).
   bool obs = false;
-  /// --trace=<file> / KIWI_BENCH_TRACE=1: dump the flight recorder to a
-  /// Perfetto-loadable JSON file after each run (the driver performs the
-  /// dump; later runs overwrite, so the file holds the final run's tail)
-  /// and install the crash post-mortem handler for the bench's lifetime.
-  std::string trace_path;
 
   std::uint64_t KeyRange() const { return dataset_size * 2; }
 };
@@ -64,10 +59,6 @@ inline BenchConfig ParseArgs(int argc, char** argv) {
     harness::ParseUintList(env, &config.threads);
   }
   config.obs = EnvOrU64("KIWI_BENCH_OBS", 0) != 0;
-  if (const char* env = std::getenv("KIWI_BENCH_TRACE");
-      env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0) {
-    config.trace_path = std::strcmp(env, "1") == 0 ? "kiwi_trace.json" : env;
-  }
   config.driver = harness::DriverOptions::FromEnv();
 
   for (int i = 1; i < argc; ++i) {
@@ -102,7 +93,7 @@ inline BenchConfig ParseArgs(int argc, char** argv) {
     } else if (arg == "--obs") {
       config.obs = true;
     } else if (const char* value = value_of("--trace=")) {
-      config.trace_path = value;
+      config.driver.trace_path = value;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "flags: --maps=kiwi,kary,skiplist,snaptree --threads=1,2,4 "
@@ -118,14 +109,13 @@ inline BenchConfig ParseArgs(int argc, char** argv) {
     }
   }
 #if KIWI_TRACE_ENABLED
-  if (!config.trace_path.empty()) {
-    // The driver reads this env var after every run and dumps there; the
-    // crash handler gives any bench failure a flight-recorder post-mortem.
-    setenv("KIWI_BENCH_TRACE", config.trace_path.c_str(), 1);
+  if (!config.driver.trace_path.empty()) {
+    // The driver dumps the flight recorder after every run; the crash
+    // handler gives any bench failure a flight-recorder post-mortem.
     obs::trace::InstallCrashHandler();
   }
 #else
-  if (!config.trace_path.empty()) {
+  if (!config.driver.trace_path.empty()) {
     std::fprintf(stderr,
                  "--trace ignored: built with KIWI_TRACE=OFF or "
                  "KIWI_STATS=OFF\n");

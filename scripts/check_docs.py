@@ -10,7 +10,15 @@ Walks every *.md at the repo root and under docs/, and verifies:
     to '-', punctuation dropped, duplicate slugs suffixed -1, -2, ...);
   * inline file references in backticks that look like repo paths
     (`docs/FOO.md`, `src/core/kiwi_map.h`, `scripts/x.py`) exist —
-    this is what catches doc drift when a file is renamed.
+    this is what catches doc drift when a file is renamed;
+  * code names in backticks in README.md, DESIGN.md, EXPERIMENTS.md and
+    docs/*.md still occur somewhere in the code (src, bench, examples,
+    tests, perfbench, scripts, .github, CMakeLists.txt) — this catches
+    doc drift when a function, type or constant is renamed or deleted.
+    A name counts when it is `Scope::Name`, `Name()`, CamelCase with an
+    inner capital, a `kConstant` or a `KIWI_` macro; every identifier in
+    it must occur as a whole word.  The other root notes (change log,
+    roadmap, paper notes) name deleted code on purpose.
 
 http(s)/mailto links are skipped (no network in CI).  Pure standard
 library.  Exit 0 = clean, 1 = problems (each printed as file:line).
@@ -37,6 +45,26 @@ SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 # Paths referenced with globs/placeholders or generated at runtime.
 GENERATED_HINTS = ("*", "<", "$", "build/", "BENCH_ci.json",
                    "bench_output.txt", "kiwi_trace.json")
+
+# Inline code spans, and the (optionally scoped, optionally called) names
+# inside them; a name right after a '*' is the tail of a glob pattern.
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+NAME_EXPR_RE = re.compile(
+    r"(?<![\w*])((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)(\()?")
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+# Upper-case initial and a capital after a lower-case letter.
+CAMEL_RE = re.compile(r"[A-Z]\w*[a-z]\w*[A-Z]\w*")
+KCONST_RE = re.compile(r"k[A-Z]\w*")
+MACRO_RE = re.compile(r"KIWI_\w+")
+
+# Where a documented code name must still occur, relative to the root.
+CODE_DIRS = ("src", "bench", "examples", "tests", "perfbench", "scripts",
+             ".github")
+CODE_FILES = ("CMakeLists.txt",)
+# Root markdown whose code names are checked (plus all of docs/).
+NAME_CHECKED_ROOT = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+# Names from the paper's pseudocode with no code spelling of their own.
+PAPER_ONLY_NAMES = {"kCounter"}
 
 
 def github_slug(text, taken):
@@ -79,7 +107,49 @@ def headings_of(path, cache):
     return cache[path]
 
 
-def check_file(md_path, root, heading_cache):
+def code_identifiers(root):
+    """Every identifier-shaped word in the code tree (comments and strings
+    included; not this checker's own source), plus the paper-only names."""
+    idents = set()
+    this_file = os.path.abspath(__file__)
+    paths = [os.path.join(root, f) for f in CODE_FILES]
+    for top in CODE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = [d for d in dirnames
+                           if d != "__pycache__" and not d.startswith("build")]
+            paths.extend(os.path.join(dirpath, f) for f in filenames)
+    for path in paths:
+        if os.path.abspath(path) == this_file or not os.path.isfile(path):
+            continue
+        with open(path, encoding="utf-8", errors="ignore") as f:
+            idents.update(IDENT_RE.findall(f.read()))
+    return idents | PAPER_ONLY_NAMES
+
+
+def is_code_name(expr, called):
+    """Scope::Name, Name(), CamelCase with an inner capital, kConstant or a
+    KIWI_ macro."""
+    if called or "::" in expr:
+        return True
+    return bool(CAMEL_RE.fullmatch(expr) or KCONST_RE.fullmatch(expr)
+                or MACRO_RE.fullmatch(expr))
+
+
+def stale_names(line, idents):
+    """Code names in `line`'s backtick spans with an identifier the code no
+    longer has, as written (a call keeps its "()")."""
+    stale = []
+    for span in CODE_SPAN_RE.findall(line):
+        for m in NAME_EXPR_RE.finditer(span):
+            expr, called = m.group(1), m.group(2) is not None
+            if not is_code_name(expr, called):
+                continue
+            if any(part not in idents for part in expr.split("::")):
+                stale.append(expr + ("()" if called else ""))
+    return stale
+
+
+def check_file(md_path, root, heading_cache, idents=None):
     problems = []
     md_dir = os.path.dirname(md_path)
     in_fence = False
@@ -120,6 +190,11 @@ def check_file(md_path, root, heading_cache):
                         or os.path.exists(os.path.join(md_dir, ref))):
                     problems.append(
                         (lineno, f"referenced file missing: {ref}"))
+
+            if idents is not None:
+                for name in stale_names(line, idents):
+                    problems.append(
+                        (lineno, f"code name not found in the code: {name}"))
     return problems
 
 
@@ -140,10 +215,14 @@ def main():
                 md_files.append(os.path.join(docs_dir, entry))
 
     heading_cache = {}
+    idents = code_identifiers(root)
     failed = False
     for md in md_files:
-        problems = check_file(md, root, heading_cache)
         rel = os.path.relpath(md, root)
+        check_names = (rel in NAME_CHECKED_ROOT
+                       or os.path.dirname(md) == docs_dir)
+        problems = check_file(md, root, heading_cache,
+                              idents if check_names else None)
         for lineno, message in problems:
             print(f"{rel}:{lineno}: {message}")
             failed = True

@@ -308,6 +308,14 @@ class alignas(kCacheLineSize) ChunkT {
     return Layout::LoadValue(a, v[val_ptr]);
   }
 
+  /// The one writer of the entry format: `cell`'s key and value slot `j`
+  /// take {key, value}.  Arena layouts copy the key bytes to `arena_off`
+  /// and the value bytes right after (EntryArenaBytes in all); a tombstone
+  /// stores kTombstoneLen and no bytes.  Version, val_ptr and next are the
+  /// caller's to set.
+  void FillCell(Cell& cell, std::uint32_t j, std::uint32_t arena_off,
+                KeyView key, ValueView value);
+
   /// The pool the slab came from (and returns to in Destroy).
   reclaim::SlabPool* const pool_;
 };
@@ -401,39 +409,45 @@ ChunkT<Layout>::ChunkT(reclaim::SlabPool* pool, KeyView min_key_arg,
   for (std::size_t i = 0; i < batched.size(); ++i) {
     KIWI_DASSERT(i == 0 || !ItemBefore(batched[i], batched[i - 1]),
                  "batched prefix must be sorted");
+    const std::uint32_t need = static_cast<std::uint32_t>(
+        Layout::EntryArenaBytes(batched[i].key, batched[i].value));
+    KIWI_ASSERT(need <= arena_capacity - arena_off,
+                "batched entries exceed the arena");
     Cell& cell = k[i + 1];
+    FillCell(cell, static_cast<std::uint32_t>(i), arena_off, batched[i].key,
+             batched[i].value);
     cell.version = batched[i].version;
     cell.val_ptr.store(static_cast<std::int32_t>(i),
                        std::memory_order_relaxed);
     cell.next.store(i + 1 < batched.size() ? static_cast<std::int32_t>(i + 2)
                                            : kNullIdx,
                     std::memory_order_relaxed);
-    if constexpr (Layout::kHasArena) {
-      const KeyView key = batched[i].key;
-      const ValueView value = batched[i].value;
-      const std::uint32_t need = static_cast<std::uint32_t>(
-          Layout::EntryArenaBytes(key, value));
-      KIWI_ASSERT(need <= arena_capacity - arena_off,
-                  "batched entries exceed the arena");
-      std::memcpy(a + arena_off, key.data(), key.size());
-      cell.key = CellKey{Layout::MakePrefix(key), arena_off,
-                         static_cast<std::uint32_t>(key.size())};
-      const std::uint32_t val_off =
-          arena_off + static_cast<std::uint32_t>(key.size());
-      if (Layout::IsTombstone(value)) {
-        v[i] = StoredValue{0, Layout::kTombstoneLen};
-      } else {
-        std::memcpy(a + val_off, value.data(), value.size());
-        v[i] = StoredValue{val_off, static_cast<std::uint32_t>(value.size())};
-      }
-      arena_off += need;
-    } else {
-      cell.key = batched[i].key;
-      v[i] = batched[i].value;
-    }
+    arena_off += need;
   }
   arena_used.store(arena_off, std::memory_order_relaxed);
   for (auto& entry : ppa) entry.store(kPpaIdle, std::memory_order_relaxed);
+}
+
+template <typename Layout>
+void ChunkT<Layout>::FillCell(Cell& cell, std::uint32_t j,
+                              std::uint32_t arena_off, KeyView key,
+                              ValueView value) {
+  if constexpr (Layout::kHasArena) {
+    std::memcpy(a + arena_off, key.data(), key.size());
+    cell.key = CellKey{Layout::MakePrefix(key), arena_off,
+                       static_cast<std::uint32_t>(key.size())};
+    const std::uint32_t val_off =
+        arena_off + static_cast<std::uint32_t>(key.size());
+    if (Layout::IsTombstone(value)) {
+      v[j] = StoredValue{0, Layout::kTombstoneLen};
+    } else {
+      std::memcpy(a + val_off, value.data(), value.size());
+      v[j] = StoredValue{val_off, static_cast<std::uint32_t>(value.size())};
+    }
+  } else {
+    cell.key = key;
+    v[j] = value;
+  }
 }
 
 template <typename Layout>

@@ -263,11 +263,23 @@ class KiWiMapT {
   void CheckEntry(KeyView key, ValueView value) const;
 
   /// Shared body of Put and Remove (a remove is a put of the tombstone).
-  void PutImpl(KeyView key, ValueView value);
+  /// `traced` is the operation's latency-sampling decision; sampled puts
+  /// record their flight-recorder events.
+  void PutImpl(KeyView key, ValueView value, bool traced);
 
-  /// The one install path of Put and PutBatch's per-op runs, after the
-  /// cell `i` and value slot `j` (byte layouts: arena bytes at `key_off`)
-  /// are claimed: fill them with `entry`'s {key, value}; re-read the chunk
+  /// The one claim of Put and PutBatch's short runs: claim value slots,
+  /// cells and (byte layouts) arena bytes for as much of `run` (sorted,
+  /// distinct keys covered by `chunk`) as fits, in two fetch-adds, then
+  /// InstallEntry each entry.  The claim alone decides fit; one that comes
+  /// up short counts a cell_alloc_overflows.  Returns how many leading
+  /// entries were installed: fewer than run.size() means the chunk is out
+  /// of room or froze.  `traced` records each PPA publish.
+  std::size_t InstallRun(Chunk* chunk, std::span<const Item> run,
+                         std::size_t slot, bool traced);
+
+  /// The one install path behind InstallRun, after the cell `i` and value
+  /// slot `j` (byte layouts: arena bytes at `key_off`) are claimed: fill
+  /// them with `entry`'s {key, value} (Chunk::FillCell); re-read the chunk
   /// status (seq_cst) and stop if it froze; publish the cell in this
   /// thread's PPA slot; take or adopt a version; link the cell, searching
   /// from `*hint` (kNullIdx: the batched prefix) and leaving the insertion
@@ -310,15 +322,6 @@ class KiWiMapT {
                         Version read_point,
                         const std::function<void(KeyView, ValueView)>& yield);
 
-  /// PutBatch's amortized per-op path: claim cells and value slots for a
-  /// sorted run of distinct keys (all covered by `chunk`) in two
-  /// fetch-adds, then InstallEntry each key, carrying the insertion point
-  /// forward.  Returns how many leading entries were installed; fewer than
-  /// run.size() means the chunk filled or froze mid-run and the caller
-  /// must re-locate.  Items carry {key, value} views only.
-  std::size_t PutRunPerOp(Chunk* chunk, std::span<const Item> run,
-                          std::size_t slot);
-
   struct BuiltSection {
     Chunk* first = nullptr;
     Chunk* last = nullptr;
@@ -335,16 +338,16 @@ class KiWiMapT {
 
   /// What CheckRebalance asks of a writer about to claim cells in a chunk.
   enum class Trigger {
-    kNone,       // write into the chunk
+    kNone,       // claim in the chunk
     kInfant,     // the chunk was an infant, now normalized: re-locate
-    kRebalance,  // the chunk is frozen, full or picked by the policy
+    kRebalance,  // the chunk is frozen or the policy calls it due
   };
 
   /// Paper's checkRebalance (Algorithm 3), the one trigger check of Put
-  /// and PutBatch, run before claiming cells for the next entry (key,
-  /// value).  "Full" covers the cell and value arrays and, for byte
-  /// layouts, arena room for that entry.
-  Trigger CheckRebalance(Chunk* chunk, KeyView key, ValueView value);
+  /// and PutBatch, run before claiming: infant, frozen or due?  The policy
+  /// calls a full cell array due; value-slot and arena room are decided by
+  /// the claim itself (InstallRun).
+  Trigger CheckRebalance(Chunk* chunk);
 
   /// Paper's rebalance (Algorithm 4 stages 1-5 + normalize) of `chunk`'s
   /// sector, merging `puts` (sorted by key, distinct keys; only {key,

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "common/assert.h"
@@ -144,7 +143,7 @@ void KiWiMapT<Layout>::Put(KeyView key, ValueView value) {
   KIWI_ASSERT(!Layout::IsTombstone(value), "value reserved for tombstones");
   KIWI_OBS_INC(obs_, puts);
   KIWI_OBS_SAMPLED_TIMER(obs_, obs::Latency::kPut, timer);
-  PutImpl(key, value);
+  PutImpl(key, value, KIWI_OBS_SAMPLED(timer));
 }
 
 template <typename Layout>
@@ -155,70 +154,34 @@ void KiWiMapT<Layout>::Remove(KeyView key) {
   // land in the put histogram (a remove IS a put).
   KIWI_OBS_INC(obs_, removes);
   KIWI_OBS_SAMPLED_TIMER(obs_, obs::Latency::kPut, timer);
-  PutImpl(key, Layout::TombstoneValue());
+  PutImpl(key, Layout::TombstoneValue(), KIWI_OBS_SAMPLED(timer));
 }
 
 template <typename Layout>
-void KiWiMapT<Layout>::PutImpl(KeyView key, ValueView value) {
+void KiWiMapT<Layout>::PutImpl(KeyView key, ValueView value, bool traced) {
   CheckEntry(key, value);
+  if (traced) {
+    KIWI_TRACE(kPutOp, Layout::TraceKey(key), Layout::TraceValue(value));
+  }
   const std::size_t slot = ThreadRegistry::CurrentSlot();
-  const bool traced = KIWI_TRACE_SAMPLED(kPutOp, Layout::TraceKey(key),
-                                         Layout::TraceValue(value));
   const Item entry{key, kNoVersion, 0, value};
 
   while (true) {
     reclaim::EbrGuard guard(ebr_);
     Chunk* chunk = LocateChunk(key);
-    KIWI_ASSERT(chunk->status.load(std::memory_order_acquire) !=
-                    Chunk::Status::kSentinel,
-                "user key resolved to the sentinel chunk");
-    const auto restart = [&] {
-      KIWI_OBS_INC(obs_, put_restarts);
-      KIWI_TRACE(kPutRestart, Layout::TraceKey(key),
-                 reinterpret_cast<std::uintptr_t>(chunk));
-    };
-
-    // -- phase 0: maintenance check (Algorithm 3), before allocating so
-    //    that infants never fill up.  A rebalanced put restarts (§6.1).
-    const Trigger trigger = CheckRebalance(chunk, key, value);
-    if (trigger != Trigger::kNone) {
-      if (trigger == Trigger::kRebalance) Rebalance(chunk, {});
-      restart();
-      continue;
-    }
-
-    // -- phase 1: allocate a value slot and a cell (F&A/F&I give every
-    //    concurrent put distinct indices), plus — for byte layouts — the
-    //    entry's arena bytes.  Any overflow routes to rebalance, whose
-    //    build-copy compacts dead reservations away.
-    const std::uint32_t j =
-        chunk->v_counter.fetch_add(1, std::memory_order_seq_cst);
-    const std::uint32_t i =
-        chunk->k_counter.fetch_add(1, std::memory_order_seq_cst);
-    bool overflow = j >= chunk->capacity || i > chunk->capacity;
-    std::uint32_t key_off = 0;
-    if constexpr (Layout::kHasArena) {
-      if (!overflow) {
-        const std::uint32_t need = static_cast<std::uint32_t>(
-            Layout::EntryArenaBytes(key, value));
-        overflow = !chunk->ClaimArena(need, &key_off);
-      }
-    }
-    if (overflow) {
-      KIWI_OBS_INC(obs_, cell_alloc_overflows);
-      Rebalance(chunk, {});
-      restart();
-      continue;
-    }
-
-    // -- phases 2-3: publish, version, link.  False means the chunk froze
-    //    after phase 0: help its rebalance along, then restart.
-    std::int32_t hint = Chunk::kNullIdx;
-    if (InstallEntry(chunk, slot, i, j, key_off, entry, &hint, traced)) {
+    // The maintenance check (Algorithm 3) runs before the claim so that
+    // infants never fill up.  A put whose chunk is frozen or due, or whose
+    // claim came up short or met a freeze, helps the rebalance and
+    // restarts (§6.1); it never rides one.
+    const Trigger trigger = CheckRebalance(chunk);
+    if (trigger == Trigger::kNone &&
+        InstallRun(chunk, {&entry, 1}, slot, traced) == 1) {
       return;
     }
-    Rebalance(chunk, {});
-    restart();
+    if (trigger != Trigger::kInfant) Rebalance(chunk, {});
+    KIWI_OBS_INC(obs_, put_restarts);
+    KIWI_TRACE(kPutRestart, Layout::TraceKey(key),
+               reinterpret_cast<std::uintptr_t>(chunk));
   }
 }
 
@@ -228,28 +191,10 @@ bool KiWiMapT<Layout>::InstallEntry(Chunk* chunk, std::size_t slot,
                                     std::uint32_t key_off, const Item& entry,
                                     std::int32_t* hint, bool traced) {
   const KeyView key = entry.key;
-  const ValueView value = entry.value;
   typename Chunk::Cell& cell = chunk->k[i];
-  if constexpr (Layout::kHasArena) {
-    // Copy the bytes before the PPA publish below: its seq_cst CAS is the
-    // release point that makes them visible to helpers and readers.
-    std::memcpy(chunk->a + key_off, key.data(), key.size());
-    const std::uint32_t val_off =
-        key_off + static_cast<std::uint32_t>(key.size());
-    if (Layout::IsTombstone(value)) {
-      chunk->v[j] = typename Layout::StoredValue{0, Layout::kTombstoneLen};
-    } else {
-      std::memcpy(chunk->a + val_off, value.data(), value.size());
-      chunk->v[j] = typename Layout::StoredValue{
-          val_off, static_cast<std::uint32_t>(value.size())};
-    }
-    cell.key = typename Layout::CellKey{
-        Layout::MakePrefix(key), key_off,
-        static_cast<std::uint32_t>(key.size())};
-  } else {
-    chunk->v[j] = value;
-    cell.key = key;
-  }
+  // Fill the cell before the PPA publish below: its seq_cst CAS is the
+  // release point that makes the entry visible to helpers and readers.
+  chunk->FillCell(cell, j, key_off, key, entry.value);
   cell.version = kNoVersion;
   cell.val_ptr.store(static_cast<std::int32_t>(j), std::memory_order_relaxed);
   cell.next.store(Chunk::kNullIdx, std::memory_order_relaxed);
@@ -336,31 +281,33 @@ void KiWiMapT<Layout>::PutBatch(std::span<const Entry> entries) {
   KIWI_OBS_INC(obs_, put_batches);
   KIWI_OBS_ADD(obs_, batch_entries, entries.size());
 
-  // Normalize the batch: sort by key (stable, so equal keys keep their
-  // submission order), then keep only the last occurrence of each key —
-  // the state the equivalent sequence of Puts would leave behind.  The
-  // surviving entries are carried as {key, value} view Items so the run
-  // paths below never copy the owned strings of a byte batch.
-  std::vector<Entry> sorted(entries.begin(), entries.end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return Layout::KeyLess(Layout::ViewKey(a.first),
-                                            Layout::ViewKey(b.first));
-                   });
+  // Normalize the batch: sort views of the caller's entries by key (stable,
+  // so equal keys keep their submission order), then keep only the last
+  // occurrence of each key — the state the equivalent sequence of Puts
+  // would leave behind.  The views live as long as this call, and both
+  // install paths copy the bytes they keep.
   std::vector<Item> batch;
-  batch.reserve(sorted.size());
-  for (std::size_t r = 0; r < sorted.size(); ++r) {
-    if (r + 1 < sorted.size() &&
-        Layout::KeyEq(Layout::ViewKey(sorted[r + 1].first),
-                      Layout::ViewKey(sorted[r].first))) {
+  batch.reserve(entries.size());
+  for (const auto& [key, value] : entries) {
+    batch.push_back(
+        Item{Layout::ViewKey(key), kNoVersion, 0, Layout::ViewValue(value)});
+  }
+  std::stable_sort(batch.begin(), batch.end(),
+                   [](const Item& a, const Item& b) {
+                     return Layout::KeyLess(a.key, b.key);
+                   });
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < batch.size(); ++r) {
+    if (r + 1 < batch.size() &&
+        Layout::KeyEq(batch[r + 1].key, batch[r].key)) {
       continue;  // superseded by a later write to the same key
     }
-    const KeyView key = Layout::ViewKey(sorted[r].first);
-    const ValueView value = Layout::ViewValue(sorted[r].second);
-    CheckEntry(key, value);
-    KIWI_ASSERT(!Layout::IsTombstone(value), "value reserved for tombstones");
-    batch.push_back(Item{key, kNoVersion, 0, value});
+    CheckEntry(batch[r].key, batch[r].value);
+    KIWI_ASSERT(!Layout::IsTombstone(batch[r].value),
+                "value reserved for tombstones");
+    batch[kept++] = batch[r];
   }
+  batch.resize(kept);
   KIWI_TRACE(kBatchStart, entries.size(), batch.size());
 
   const std::size_t slot = ThreadRegistry::CurrentSlot();
@@ -369,11 +316,7 @@ void KiWiMapT<Layout>::PutBatch(std::span<const Entry> entries) {
   while (done < batch.size()) {
     reclaim::EbrGuard guard(ebr_);
     Chunk* chunk = LocateChunk(batch[done].key);
-    KIWI_ASSERT(chunk->status.load(std::memory_order_acquire) !=
-                    Chunk::Status::kSentinel,
-                "user key resolved to the sentinel chunk");
-    const Trigger trigger =
-        CheckRebalance(chunk, batch[done].key, batch[done].value);
+    const Trigger trigger = CheckRebalance(chunk);
     if (trigger == Trigger::kInfant) continue;
 
     // The run this chunk covers: keys below the successor's minKey.  The
@@ -390,68 +333,68 @@ void KiWiMapT<Layout>::PutBatch(std::span<const Entry> entries) {
     }
     const std::span<const Item> run(batch.data() + done, run_end - done);
 
-    if (trigger == Trigger::kRebalance || run.size() >= bulk_min) {
-      // Bulk path: carry the run through the rebalance build, seeding the
-      // replacement chunks' sorted prefixes straight from the batch — no
-      // per-key PPA round trips.  0 means another thread's section won
-      // consensus; re-locate and retry (lock-free: each loss implies a
-      // competing splice completed).
-      const std::size_t installed = Rebalance(chunk, run);
+    if (trigger == Trigger::kNone && run.size() < bulk_min) {
+      // Short run: Put's claim and install, with the two index claims
+      // batched and the insertion point carried between keys.  A partial
+      // run (the chunk filled or froze mid-run) re-locates the remainder.
+      const std::size_t installed =
+          InstallRun(chunk, run, slot, /*traced=*/false);
       if (installed > 0) {
-        KIWI_OBS_ADD(obs_, batch_bulk_entries, installed);
-        KIWI_TRACE(kBatchBulk, Layout::TraceKey(run[0].key), installed);
+        KIWI_TRACE(kBatchRun, Layout::TraceKey(run[0].key), installed);
         done += installed;
-      } else {
-        KIWI_OBS_INC(obs_, put_restarts);
-        KIWI_TRACE(kPutRestart, Layout::TraceKey(batch[done].key),
-                   reinterpret_cast<std::uintptr_t>(chunk));
+        continue;
       }
-      continue;
+      // Nothing installed.  A frozen chunk is re-located (its replacement
+      // may already be in); one out of room takes the bulk path now — an
+      // arena too full for the run's first entry does not trip the policy,
+      // so re-locating would spin.
+      if (chunk->status.load(std::memory_order_acquire) ==
+          Chunk::Status::kFrozen) {
+        continue;
+      }
     }
 
-    // Short run: Put's install path per key, with the two index claims
-    // batched and the insertion point carried between keys.
-    const std::size_t installed = PutRunPerOp(chunk, run, slot);
+    // Bulk path: carry the run through the rebalance build, seeding the
+    // replacement chunks' sorted prefixes straight from the batch — no
+    // per-key PPA round trips.  0 means another thread's section won
+    // consensus; re-locate and retry (lock-free: each loss implies a
+    // competing splice completed).
+    const std::size_t installed = Rebalance(chunk, run);
     if (installed > 0) {
-      KIWI_TRACE(kBatchRun, Layout::TraceKey(run[0].key), installed);
+      KIWI_OBS_ADD(obs_, batch_bulk_entries, installed);
+      KIWI_TRACE(kBatchBulk, Layout::TraceKey(run[0].key), installed);
       done += installed;
+    } else {
+      KIWI_OBS_INC(obs_, put_restarts);
+      KIWI_TRACE(kPutRestart, Layout::TraceKey(batch[done].key),
+                 reinterpret_cast<std::uintptr_t>(chunk));
     }
-    // installed < run.size(): the chunk filled or froze mid-run; the next
-    // iteration re-locates the remainder and takes the rebalance path.
   }
 }
 
 template <typename Layout>
-std::size_t KiWiMapT<Layout>::PutRunPerOp(Chunk* chunk,
-                                          std::span<const Item> run,
-                                          std::size_t slot) {
+std::size_t KiWiMapT<Layout>::InstallRun(Chunk* chunk,
+                                         std::span<const Item> run,
+                                         std::size_t slot, bool traced) {
   // Claim cells and value slots for as much of the run as plausibly fits —
-  // two fetch-adds instead of two per key.  The counters can still race
-  // past capacity (other writers claim concurrently), so the post-claim
-  // bounds below are authoritative.  Claimed-but-unused cells are benign:
-  // never published, never linked; AllocatedCells is documented as an
-  // upper bound on live entries.
+  // two fetch-adds per run, not per key.  The counters can still race past
+  // capacity (other writers claim concurrently), so the post-claim bounds
+  // below are authoritative.  Claimed-but-unused cells are benign: never
+  // published, never linked; AllocatedCells is documented as an upper
+  // bound on live entries.
   const std::uint32_t cap = chunk->capacity;
   const std::uint32_t v_seen =
       chunk->v_counter.load(std::memory_order_acquire);
   std::uint32_t want = static_cast<std::uint32_t>(std::min<std::size_t>(
       run.size(), v_seen < cap ? cap - v_seen : 0));
-  if (want == 0) return 0;
 
   // Byte layouts additionally claim one contiguous arena block for the
-  // entries about to be installed (prefix sums in `offs`), shrinking the
-  // claim to what the arena can still hold.  A racing claim that defeats
-  // ours is routed back to the caller, which re-dispatches via rebalance.
-  [[maybe_unused]] std::uint32_t arena_base = 0;
-  [[maybe_unused]] std::vector<std::uint32_t> offs;
+  // entries about to be installed, shrinking the claim to what the arena
+  // can still hold.  If a racing claim takes the bytes first, this run
+  // claims nothing.
+  std::uint32_t arena_off = 0;
   if constexpr (Layout::kHasArena) {
-    const std::uint32_t arena_cap = chunk->arena_capacity;
-    const std::uint32_t arena_seen =
-        chunk->arena_used.load(std::memory_order_acquire);
-    const std::uint32_t avail =
-        arena_seen < arena_cap ? arena_cap - arena_seen : 0;
-    offs.reserve(want + 1);
-    offs.push_back(0);
+    const std::uint32_t avail = chunk->arena_capacity - chunk->ArenaUsed();
     std::uint32_t total = 0;
     std::uint32_t fits = 0;
     while (fits < want) {
@@ -459,11 +402,14 @@ std::size_t KiWiMapT<Layout>::PutRunPerOp(Chunk* chunk,
           Layout::EntryArenaBytes(run[fits].key, run[fits].value));
       if (total + need > avail) break;
       total += need;
-      offs.push_back(total);
       ++fits;
     }
     want = fits;
-    if (want == 0 || !chunk->ClaimArena(total, &arena_base)) return 0;
+    if (want > 0 && !chunk->ClaimArena(total, &arena_off)) want = 0;
+  }
+  if (want == 0) {
+    KIWI_OBS_INC(obs_, cell_alloc_overflows);
+    return 0;
   }
 
   const std::uint32_t j_base =
@@ -475,6 +421,7 @@ std::size_t KiWiMapT<Layout>::PutRunPerOp(Chunk* chunk,
   const std::uint32_t usable_k =
       i_base <= cap ? std::min(want, cap - i_base + 1) : 0;
   const std::uint32_t n = std::min(usable_v, usable_k);
+  if (n < want) KIWI_OBS_INC(obs_, cell_alloc_overflows);
 
   // Keys ascend within the run, so each key's insertion point is at or
   // after the previous one's predecessor — thread it through as the next
@@ -482,12 +429,12 @@ std::size_t KiWiMapT<Layout>::PutRunPerOp(Chunk* chunk,
   // [t, n) are not installed and the caller re-dispatches them.
   std::int32_t hint = Chunk::kNullIdx;
   for (std::uint32_t t = 0; t < n; ++t) {
-    std::uint32_t key_off = 0;
-    if constexpr (Layout::kHasArena) key_off = arena_base + offs[t];
-    if (!InstallEntry(chunk, slot, i_base + t, j_base + t, key_off, run[t],
-                      &hint, /*traced=*/false)) {
+    if (!InstallEntry(chunk, slot, i_base + t, j_base + t, arena_off, run[t],
+                      &hint, traced)) {
       return t;
     }
+    arena_off += static_cast<std::uint32_t>(
+        Layout::EntryArenaBytes(run[t].key, run[t].value));
   }
   return n;
 }
@@ -497,7 +444,9 @@ std::optional<typename Layout::OwnedValue> KiWiMapT<Layout>::Get(KeyView key) {
   KIWI_OBS_INC(obs_, gets);
   KIWI_OBS_SAMPLED_TIMER(obs_, obs::Latency::kGet, timer);
   std::optional<OwnedValue> value = ReadKey(key, kMaxReadVersion);
-  (void)KIWI_TRACE_SAMPLED(kGetOp, Layout::TraceKey(key), value.has_value());
+  if (KIWI_OBS_SAMPLED(timer)) {
+    KIWI_TRACE(kGetOp, Layout::TraceKey(key), value.has_value());
+  }
   if (value) KIWI_OBS_INC(obs_, get_hits);
   return value;
 }
@@ -547,9 +496,12 @@ std::size_t KiWiMapT<Layout>::ScanImpl(
   KIWI_OBS_INC(obs_, scans);
   KIWI_OBS_SAMPLED_TIMER(obs_, obs::Latency::kScan, timer);
   PsaEntry& entry = psa_.Slot(ThreadRegistry::CurrentSlot());
-  const bool traced = KIWI_TRACE_SAMPLED(
-      kScanBegin, Layout::TraceKey(from_key),
-      to_key != nullptr ? Layout::TraceKey(*to_key) : ~std::uint64_t{0});
+  const bool traced = KIWI_OBS_SAMPLED(timer);
+  if (traced) {
+    KIWI_TRACE(kScanBegin, Layout::TraceKey(from_key),
+               to_key != nullptr ? Layout::TraceKey(*to_key)
+                                 : ~std::uint64_t{0});
+  }
 
   // -- 1. acquire a read point, synchronizing with rebalance via the PSA.
   //    Byte layouts publish the range as normalized prefixes —

@@ -41,10 +41,11 @@
 namespace kiwi::core {
 
 template <typename Layout>
-auto KiWiMapT<Layout>::CheckRebalance(Chunk* chunk, KeyView key,
-                                      ValueView value) -> Trigger {
+auto KiWiMapT<Layout>::CheckRebalance(Chunk* chunk) -> Trigger {
   const typename Chunk::Status status =
       chunk->status.load(std::memory_order_acquire);
+  KIWI_ASSERT(status != Chunk::Status::kSentinel,
+              "user key resolved to the sentinel chunk");
   if (status == Chunk::Status::kInfant) {
     // The chunk is not yet writable; finish its parent's rebalance (stages
     // 6-7 only — reachability implies the replace stage completed).
@@ -53,19 +54,9 @@ auto KiWiMapT<Layout>::CheckRebalance(Chunk* chunk, KeyView key,
     Normalize(ro);
     return Trigger::kInfant;
   }
-  bool full =
-      chunk->k_counter.load(std::memory_order_acquire) > chunk->capacity ||
-      chunk->v_counter.load(std::memory_order_acquire) >= chunk->capacity;
-  if constexpr (Layout::kHasArena) {
-    // The next entry must also fit the remaining arena.  Without this a
-    // writer would claim cells only to fail its arena claim, and
-    // PutRunPerOp would claim nothing and return 0, retrying forever.
-    const std::uint32_t used =
-        chunk->arena_used.load(std::memory_order_acquire);
-    full = full || used > chunk->arena_capacity ||
-           chunk->arena_capacity - used < Layout::EntryArenaBytes(key, value);
-  }
-  if (full || status == Chunk::Status::kFrozen ||
+  // ShouldTrigger calls a full cell array due (k_counter > capacity); at
+  // rest v_counter == k_counter - 1, so that covers the value array too.
+  if (status == Chunk::Status::kFrozen ||
       policy_.ShouldTrigger(chunk->AllocatedCells(), chunk->batched_count,
                             ThreadRng())) {
     return Trigger::kRebalance;
@@ -206,16 +197,23 @@ auto KiWiMapT<Layout>::Engage(Chunk* chunk, Chunk** last_out)
   RebalanceObject* ro = nullptr;
   while (true) {
     RebalanceObject* existing = chunk->ro.load(std::memory_order_acquire);
-    if (existing != nullptr && existing->done.load(std::memory_order_acquire)) {
-      // The chunk's rebalance finished.  Normally that means the chunk was
-      // replaced and the caller should restart — but an engagement that
-      // raced with the sealing CAS can leave a chunk marked with a finished
-      // `ro` while still reachable (see the orphan discussion in DESIGN.md).
-      // Reachable + done ⇒ orphan ⇒ re-engage under a fresh object.
-      if (FindListPredecessor(chunk) == nullptr) return nullptr;  // replaced
-      auto* fresh = RebalanceObject::Create(pool_, chunk, chunk->Next());
-      if (chunk->ro.compare_exchange_strong(existing, fresh,
-                                            std::memory_order_seq_cst)) {
+    if (existing != nullptr &&
+        !existing->done.load(std::memory_order_acquire)) {
+      ro = existing;  // a running rebalance: join it
+      break;
+    }
+    // A finished `ro` normally means the chunk was replaced and the caller
+    // should restart — but an engagement that raced with the sealing CAS
+    // can leave a chunk marked with a finished `ro` while still reachable
+    // (see the orphan discussion in DESIGN.md).  Reachable + done ⇒ orphan
+    // ⇒ re-engage under a fresh object, exactly like an unengaged chunk.
+    if (existing != nullptr && FindListPredecessor(chunk) == nullptr) {
+      return nullptr;  // replaced
+    }
+    auto* fresh = RebalanceObject::Create(pool_, chunk, chunk->Next());
+    if (chunk->ro.compare_exchange_strong(existing, fresh,
+                                          std::memory_order_seq_cst)) {
+      if (existing != nullptr) {
         // The chunk's reference moved from `existing` to `fresh`; drop the
         // old one only after every guard that may still be reading it ends.
         ebr_.Retire(
@@ -225,27 +223,12 @@ auto KiWiMapT<Layout>::Engage(Chunk* chunk, Chunk** last_out)
                   static_cast<RebalanceObjectT<Layout>*>(ro_ptr));
             },
             sizeof(RebalanceObject));
-        ro = fresh;
-        break;
       }
-      KIWI_OBS_INC(obs_, engage_cas_fails);
-      RebalanceObject::Destroy(fresh);  // never published
-      continue;
+      ro = fresh;
+      break;
     }
-    if (existing == nullptr) {
-      auto* fresh = RebalanceObject::Create(pool_, chunk, chunk->Next());
-      RebalanceObject* expected = nullptr;
-      if (chunk->ro.compare_exchange_strong(expected, fresh,
-                                            std::memory_order_seq_cst)) {
-        ro = fresh;
-        break;
-      }
-      KIWI_OBS_INC(obs_, engage_cas_fails);
-      RebalanceObject::Destroy(fresh);  // never published
-      continue;
-    }
-    ro = existing;
-    break;
+    KIWI_OBS_INC(obs_, engage_cas_fails);
+    RebalanceObject::Destroy(fresh);  // never published
   }
 
   // Engage successors one at a time while the policy approves; the CAS on

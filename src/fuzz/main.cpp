@@ -25,7 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "common/test_hooks.h"
+#include "core/chunk.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/scenario.h"
 #include "obs/trace.h"
@@ -179,7 +181,12 @@ int ParseArgs(int argc, char** argv, Options& opt) {
     } else if (const char* s = value("--budget-s=")) {
       if (!ParseU64(s, opt.budget_s)) return 2;
     } else if (const char* s = value("--threads=")) {
-      if (!ParseU64(s, v) || v == 0 || v > 64) return 2;
+      // The driver thread holds a thread-registry slot of its own.
+      if (!ParseU64(s, v) || v == 0 || v > kiwi::kMaxThreads - 1) {
+        std::fprintf(stderr, "--threads must be in [1, %zu]\n",
+                     kiwi::kMaxThreads - 1);
+        return 2;
+      }
       opt.params.threads = static_cast<std::uint32_t>(v);
     } else if (const char* s = value("--ops=")) {
       if (!ParseU64(s, v) || v == 0) return 2;
@@ -188,7 +195,12 @@ int ParseArgs(int argc, char** argv, Options& opt) {
       if (!ParseU64(s, v) || v == 0) return 2;
       opt.params.keys = static_cast<std::uint32_t>(v);
     } else if (const char* s = value("--chunk-capacity=")) {
-      if (!ParseU64(s, v) || v < 2) return 2;
+      // Cell indices must fit the PPA word's 16-bit index field.
+      if (!ParseU64(s, v) || v < 2 || v >= kiwi::core::Chunk::kPpaNoIdx) {
+        std::fprintf(stderr, "--chunk-capacity must be in [2, %u]\n",
+                     kiwi::core::Chunk::kPpaNoIdx - 1);
+        return 2;
+      }
       opt.params.chunk_capacity = static_cast<std::uint32_t>(v);
     } else if (const char* s = value("--max-engaged=")) {
       if (!ParseU64(s, v) || v == 0) return 2;

@@ -39,6 +39,10 @@ DriverOptions DriverOptions::FromEnv(DriverOptions defaults) {
   defaults.iteration_ms = EnvOr("KIWI_BENCH_ITER_MS", defaults.iteration_ms);
   defaults.iterations = static_cast<std::uint32_t>(
       EnvOr("KIWI_BENCH_ITERS", defaults.iterations));
+  if (const char* env = std::getenv("KIWI_BENCH_TRACE");
+      env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0) {
+    defaults.trace_path = std::strcmp(env, "1") == 0 ? "kiwi_trace.json" : env;
+  }
   return defaults;
 }
 
@@ -184,15 +188,13 @@ RunResult RunWorkload(api::IOrderedMap& map, const std::vector<Role>& roles,
   }
 
 #if KIWI_TRACE_ENABLED
-  // KIWI_BENCH_TRACE=<file> (or =1 for kiwi_trace.json): dump the flight
-  // recorder now that every worker joined, so the export is exact.  Each run
-  // overwrites the file; the rings hold only the newest events anyway.
-  if (const char* env = std::getenv("KIWI_BENCH_TRACE");
-      env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0) {
-    const char* path = std::strcmp(env, "1") == 0 ? "kiwi_trace.json" : env;
-    if (!obs::trace::DumpTraceToFile(path)) {
-      std::fprintf(stderr, "KIWI_BENCH_TRACE: cannot write %s\n", path);
-    }
+  // Dump the flight recorder now that every worker joined, so the export is
+  // exact.  Each run overwrites the file; the rings hold only the newest
+  // events anyway.
+  if (!options.trace_path.empty() &&
+      !obs::trace::DumpTraceToFile(options.trace_path.c_str())) {
+    std::fprintf(stderr, "trace: cannot write %s\n",
+                 options.trace_path.c_str());
   }
 #endif
   return result;

@@ -50,6 +50,11 @@ struct DriverOptions {
   std::uint64_t initial_size = 0;
   /// Spec whose key_range the prefill draws from (defaults to first role).
   bool measure_memory = false;
+  /// File the flight recorder is dumped to (Perfetto-loadable JSON) after
+  /// each run, overwriting; empty: no dump.  Ignored when the recorder is
+  /// compiled out.  KIWI_BENCH_TRACE=1 means kiwi_trace.json, 0 or empty
+  /// means none, anything else is the file name.
+  std::string trace_path;
 
   /// Apply KIWI_BENCH_* environment overrides.
   static DriverOptions FromEnv(DriverOptions defaults);

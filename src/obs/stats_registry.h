@@ -60,7 +60,7 @@ namespace kiwi::obs {
   X(scans_helped)       /* scan version installed by a rebalance */         \
   /* ---- contention: retries/failures on the hot CAS loops ----------- */ \
   KIWI_OBS_RETRY_FIELDS(X)                                                  \
-  X(cell_alloc_overflows) /* put saw a full cell/value array */             \
+  X(cell_alloc_overflows) /* a write's claim came up short of room */      \
   X(locate_restarts)    /* LocateChunk restarted on a retired chunk */      \
   X(splice_helps)       /* replace-stage recursive helps of a stuck pred */
 
@@ -206,6 +206,9 @@ class ScopedTimer {
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
+  /// Whether this timer records (false for the sampled-out case).
+  bool Sampled() const { return hist_ != nullptr; }
+
  private:
   LatencyHistogram* hist_;
   std::chrono::steady_clock::time_point start_;
@@ -229,9 +232,13 @@ class ScopedTimer {
 #define KIWI_OBS_SAMPLED_TIMER(registry, metric, var) \
   ::kiwi::obs::ScopedTimer var(                       \
       (registry).SampleTick() ? &(registry).Hist(metric) : nullptr)
+/// Whether the KIWI_OBS_SAMPLED_TIMER `var` sampled this operation — the
+/// one sampling decision its flight-recorder events follow too.
+#define KIWI_OBS_SAMPLED(var) ((var).Sampled())
 #else
 #define KIWI_OBS_INC(registry, field) ((void)0)
 #define KIWI_OBS_ADD(registry, field, n) ((void)0)
 #define KIWI_OBS_TIMER(registry, metric, var) ((void)0)
 #define KIWI_OBS_SAMPLED_TIMER(registry, metric, var) ((void)0)
+#define KIWI_OBS_SAMPLED(var) false
 #endif

@@ -450,7 +450,6 @@ std::size_t LiveEventCount() {
 void ResetForTest() {
   for (std::size_t slot = 0; slot < kMaxThreads; ++slot) {
     g_trace_rings[slot].head.store(0, std::memory_order_relaxed);
-    g_trace_rings[slot].op_sample_tick = 0;
   }
 }
 

@@ -25,11 +25,13 @@
 // (CI checks with `nm`, mirroring the KIWI_STATS=OFF check).
 //
 // Event cost when ON: one thread-local ring lookup, one rdtsc, four plain
-// stores — ~4-6 ns.  Hot-path operation events are additionally sampled
-// 1-in-2^kOpSampleShift so puts/gets/scans pay amortized well under a
-// nanosecond; rebalance / reclamation / fatal events are always recorded
-// (they are rare and each one matters).  See docs/OBSERVABILITY.md for the
-// event schema and ring-sizing guidance.
+// stores — ~4-6 ns.  Hot-path operation events are recorded only for the
+// operations the map's latency timers sample (1 in 64 per thread and map,
+// see KIWI_OBS_SAMPLED), so puts/gets/scans pay amortized well under a
+// nanosecond and every traced operation has a timed twin; rebalance /
+// reclamation / fatal events are always recorded (they are rare and each
+// one matters).  See docs/OBSERVABILITY.md for the event schema and
+// ring-sizing guidance.
 #pragma once
 
 #include <cstddef>
@@ -124,9 +126,6 @@ inline constexpr std::size_t kRingCapacity = std::size_t{1}
                                              << KIWI_TRACE_RING_BITS;
 inline constexpr std::uint64_t kRingMask = kRingCapacity - 1;
 
-/// Hot-path operation events keep 1 in 2^kOpSampleShift per thread.
-inline constexpr unsigned kOpSampleShift = 6;
-
 /// One thread's ring.  `head` counts events ever written; the slot written
 /// next is head & kRingMask, so the newest min(head, capacity) events are
 /// always live.  Only the owning thread writes; consumers read relaxed and
@@ -136,7 +135,6 @@ struct alignas(kCacheLineSize) Ring {
   // Owner-written with relaxed stores (plain movs on x86); dump consumers
   // read it relaxed from other threads.
   std::atomic<std::uint64_t> head{0};
-  std::uint64_t op_sample_tick = 0;
 };
 
 /// The process-wide recorder: one ring per ThreadRegistry slot.  Global (not
@@ -173,13 +171,6 @@ inline void Emit(Ev id, std::uint64_t a0, std::uint64_t a1) {
   // consumers are post-mortem/quiescent and tolerate the final in-flight
   // slot tearing).
   ring.head.store(head + 1, std::memory_order_relaxed);
-}
-
-/// True 1 in 2^kOpSampleShift calls per thread; callers use it to gate the
-/// per-operation events so tracing stays under a nanosecond amortized.
-inline bool OpSampleTick() {
-  Ring& ring = Rings()[ThreadRegistry::CurrentSlot()];
-  return (++ring.op_sample_tick & ((1u << kOpSampleShift) - 1)) == 0;
 }
 
 // ---- consumers (trace.cpp) -------------------------------------------
@@ -232,17 +223,9 @@ void ResetForTest();
   ::kiwi::obs::trace::Emit(::kiwi::obs::trace::Ev::id,        \
                            static_cast<std::uint64_t>(a0),    \
                            static_cast<std::uint64_t>(a1))
-/// Emit only for the sampled 1-in-2^kOpSampleShift operations per thread.
-/// Evaluates to the sampling verdict so a caller can emit a correlated
-/// group of events for one sampled operation.
-#define KIWI_TRACE_SAMPLED(id, a0, a1)                        \
-  (::kiwi::obs::trace::OpSampleTick()                         \
-       ? (KIWI_TRACE(id, a0, a1), true)                       \
-       : false)
 
 #else  // !KIWI_TRACE_ENABLED
 
 #define KIWI_TRACE(id, a0, a1) ((void)0)
-#define KIWI_TRACE_SAMPLED(id, a0, a1) (false)
 
 #endif  // KIWI_TRACE_ENABLED

@@ -175,10 +175,10 @@ TEST(KiWiByteMap, ArenaExhaustionTriggersRebalance) {
 TEST(KiWiByteMap, PutBatchShortRunsSurviveArenaExhaustion) {
   // Regression: a short PutBatch run whose first entry no longer fit the
   // chunk's remaining arena (while arena_used was still below capacity)
-  // used to retry the per-op path forever — PutRunPerOp claimed nothing,
-  // PutBatch's "full" check only fired at arena_used >= capacity, and with
-  // a healthy batched prefix ShouldTrigger is deterministically false, so
-  // no rebalance was ever dispatched.  Bulk-loading builds exactly that
+  // used to retry the short-run path forever — its claim got nothing, and
+  // with a healthy batched prefix ShouldTrigger is deterministically false,
+  // so no rebalance was ever dispatched.  A short run that installs nothing
+  // must fall through to the bulk path.  Bulk-loading builds exactly that
   // healthy prefix; the fat puts then exhaust the arena bytes long before
   // the batched ratio turns unhealthy.
   core::KiWiConfig config;
@@ -204,6 +204,35 @@ TEST(KiWiByteMap, PutBatchShortRunsSurviveArenaExhaustion) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_EQ(map.Get("k0" + std::to_string(i) + "fat").value_or(""), fat)
         << i;
+  }
+  map.CheckInvariants();
+}
+
+TEST(KiWiByteMap, PutThatOverflowsTheArenaLandsAfterOneRebalance) {
+  // The claim alone decides whether an entry fits the arena: a Put whose
+  // entry no longer fits while cells remain counts one short claim, helps
+  // one rebalance and lands in the rebuilt chunk.  A zero rebalance
+  // probability keeps the policy from stepping in first.
+  core::KiWiConfig config;
+  config.chunk_capacity = 64;
+  config.rebalance_probability = 0;
+  config.bytes.arena_bytes_per_cell = 64;  // 4 KiB arena, 1 KiB max entry
+  KiWiByteMap map(config);
+  const std::string fat(900, 'F');
+  // Four ~905-byte entries fill the arena to ~3.6 KiB with 60 cells free.
+  for (int i = 0; i < 4; ++i) map.Put("fat" + std::to_string(i), fat);
+  const auto before = map.DebugReport();
+  map.Put("fat4", fat);
+  const auto after = map.DebugReport();
+  if (after.stats_enabled) {
+    EXPECT_EQ(before.counters.rebalances, 0u);
+    EXPECT_EQ(after.counters.rebalances, 1u);
+    EXPECT_EQ(after.counters.cell_alloc_overflows -
+                  before.counters.cell_alloc_overflows,
+              1u);
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(map.Get("fat" + std::to_string(i)).value_or(""), fat) << i;
   }
   map.CheckInvariants();
 }

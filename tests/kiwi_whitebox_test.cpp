@@ -27,12 +27,13 @@ class KiWiTestPeer {
 
   reclaim::Ebr& Ebr() { return map_.ebr_; }
 
-  /// PutBatch's per-op path for `run` (sorted, distinct keys) in the chunk
-  /// covering its first key, from this thread's PPA slot.
-  std::size_t PutRunPerOp(std::span<const Chunk::Item> run) {
+  /// The shared claim-and-install of Put and PutBatch's short runs for
+  /// `run` (sorted, distinct keys) in the chunk covering its first key,
+  /// from this thread's PPA slot.
+  std::size_t InstallRun(std::span<const Chunk::Item> run) {
     reclaim::EbrGuard guard(map_.ebr_);
-    return map_.PutRunPerOp(map_.LocateChunk(run.front().key), run,
-                            ThreadRegistry::CurrentSlot());
+    return map_.InstallRun(map_.LocateChunk(run.front().key), run,
+                           ThreadRegistry::CurrentSlot(), /*traced=*/false);
   }
 
   std::vector<Chunk::Status> Statuses() {
@@ -200,7 +201,7 @@ TEST(KiWiWhitebox, PerOpRunStopsAtFreezeThatSkippedItsSlot) {
   // The next entries must notice the freeze: nothing installed or linked.
   const std::vector<Chunk::Item> run{{100, kNoVersion, 0, 1000},
                                      {101, kNoVersion, 0, 1010}};
-  EXPECT_EQ(peer.PutRunPerOp(run), 0u);
+  EXPECT_EQ(peer.InstallRun(run), 0u);
   EXPECT_FALSE(chunk->FindLatest(100, kMaxReadVersion).found);
   EXPECT_FALSE(chunk->FindLatest(101, kMaxReadVersion).found);
 
@@ -208,6 +209,34 @@ TEST(KiWiWhitebox, PerOpRunStopsAtFreezeThatSkippedItsSlot) {
   map.PutBatch(std::vector<KiWiMap::Entry>{{100, 1000}, {101, 1010}});
   EXPECT_EQ(map.Get(100).value_or(-1), 1000);
   EXPECT_EQ(map.Get(101).value_or(-1), 1010);
+  for (Key k = 0; k < 10; ++k) ASSERT_EQ(map.Get(k).value_or(-1), k) << k;
+  map.CheckInvariants();
+}
+
+// The claim alone decides whether an entry fits: with every value slot
+// handed out, InstallRun installs nothing and counts the short claim once.
+// The put that follows lands through the rebalance it triggers.
+TEST(KiWiWhitebox, ShortClaimInstallsNothingAndCountsOneOverflow) {
+  KiWiConfig config;
+  config.chunk_capacity = 64;
+  KiWiMap map(config);
+  for (Key k = 0; k < 10; ++k) map.Put(k, k);
+  KiWiTestPeer peer(map);
+  Chunk* chunk = peer.Locate(100);
+  chunk->v_counter.store(chunk->capacity);
+
+  const std::uint64_t before =
+      map.DebugReport().counters.cell_alloc_overflows;
+  const std::vector<Chunk::Item> run{{100, kNoVersion, 0, 1000}};
+  EXPECT_EQ(peer.InstallRun(run), 0u);
+  EXPECT_FALSE(chunk->FindLatest(100, kMaxReadVersion).found);
+  const auto report = map.DebugReport();
+  if (report.stats_enabled) {
+    EXPECT_EQ(report.counters.cell_alloc_overflows, before + 1);
+  }
+
+  map.Put(100, 1000);
+  EXPECT_EQ(map.Get(100).value_or(-1), 1000);
   for (Key k = 0; k < 10; ++k) ASSERT_EQ(map.Get(k).value_or(-1), k) << k;
   map.CheckInvariants();
 }
