@@ -45,20 +45,15 @@ struct BenchConfig {
   std::uint64_t KeyRange() const { return dataset_size * 2; }
 };
 
-inline std::uint64_t EnvOrU64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  return (raw != nullptr && *raw != '\0') ? std::strtoull(raw, nullptr, 10)
-                                          : fallback;
-}
-
 /// Parse common flags: --maps=a,b --threads=1,2 --size=N --panel=x.
 inline BenchConfig ParseArgs(int argc, char** argv) {
   BenchConfig config;
-  config.dataset_size = EnvOrU64("KIWI_BENCH_SIZE", config.dataset_size);
+  config.dataset_size =
+      harness::EnvOrU64("KIWI_BENCH_SIZE", config.dataset_size);
   if (const char* env = std::getenv("KIWI_BENCH_THREADS")) {
     harness::ParseUintList(env, &config.threads);
   }
-  config.obs = EnvOrU64("KIWI_BENCH_OBS", 0) != 0;
+  config.obs = harness::EnvOrU64("KIWI_BENCH_OBS", 0) != 0;
   config.driver = harness::DriverOptions::FromEnv();
 
   for (int i = 1; i < argc; ++i) {

@@ -12,7 +12,7 @@ namespace {
 
 void RunPanel(const bench::BenchConfig& config, const std::string& op) {
   const std::uint64_t scan_size =
-      bench::EnvOrU64("KIWI_BENCH_SCAN_SIZE", 32 * 1024);
+      harness::EnvOrU64("KIWI_BENCH_SCAN_SIZE", 32 * 1024);
   harness::Note("Figure 3(" + op + ")");
   for (const api::MapKind kind : config.maps) {
     for (const std::uint64_t threads : config.threads) {

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   const std::uint64_t small = config.dataset_size;       // "1M" analogue
   const std::uint64_t large = config.dataset_size * 10;  // "10M" analogue
   const std::uint64_t default_scan = std::min<std::uint64_t>(
-      bench::EnvOrU64("KIWI_BENCH_SCAN_SIZE", 32 * 1024), small);
+      harness::EnvOrU64("KIWI_BENCH_SCAN_SIZE", 32 * 1024), small);
   // Range-size sweep: the paper uses 2..128K; scale the upper sizes to the
   // dataset so short runs stay short.
   std::vector<std::uint64_t> ranges;
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     ranges.push_back(r);
   }
   const std::uint64_t sweep_threads =
-      bench::EnvOrU64("KIWI_BENCH_MIXED_THREADS", 8);  // paper: 16
+      harness::EnvOrU64("KIWI_BENCH_MIXED_THREADS", 8);  // paper: 16
 
   const auto want = [&](const char* panel) {
     return config.panel.empty() || config.panel == panel;

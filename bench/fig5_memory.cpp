@@ -9,7 +9,7 @@ using namespace kiwi;
 int main(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseArgs(argc, argv);
   bench::DescribeEnvironment(config, "fig5");
-  const std::uint64_t scan_size = bench::EnvOrU64("KIWI_BENCH_SCAN_SIZE", 32);
+  const std::uint64_t scan_size = harness::EnvOrU64("KIWI_BENCH_SCAN_SIZE", 32);
   harness::Note("Figure 5: memory footprint, " + std::to_string(scan_size) +
                 "-key scans with background puts");
   for (const api::MapKind kind : config.maps) {

@@ -100,7 +100,7 @@ double IngestThroughput(api::IOrderedMap& map, std::uint64_t threads,
 int main(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseArgs(argc, argv);
   bench::DescribeEnvironment(config, "fig_ingest");
-  const std::uint64_t burst = bench::EnvOrU64("KIWI_BENCH_BATCH", 4096);
+  const std::uint64_t burst = harness::EnvOrU64("KIWI_BENCH_BATCH", 4096);
   // dataset_size keys per thread per measurement, in bursts.
   const std::uint64_t bursts_per_thread =
       (config.dataset_size + burst - 1) / burst;

@@ -2,8 +2,6 @@
 
 #include <type_traits>
 
-#include "core/rebalance_object.h"
-
 namespace kiwi::core {
 
 // The slab layout computes `k`/`v`/`a` as raw offsets past the header; cells
@@ -24,14 +22,6 @@ static_assert(sizeof(ChunkT<ByteLayout>) %
 // 16 bytes, so a byte cell (key + version + val_ptr + next) is 32 bytes.
 static_assert(sizeof(ByteLayout::CellKey) == 16, "byte cell key grew");
 static_assert(sizeof(ByteLayout::StoredValue) == 8, "byte value slot grew");
-
-template <typename Layout>
-void UnrefRebalanceObject(RebalanceObjectT<Layout>* ro) {
-  RebalanceObjectT<Layout>::Unref(ro);
-}
-template void UnrefRebalanceObject<Int64Layout>(
-    RebalanceObjectT<Int64Layout>*);
-template void UnrefRebalanceObject<ByteLayout>(RebalanceObjectT<ByteLayout>*);
 
 template class ChunkT<Int64Layout>;
 template class ChunkT<ByteLayout>;

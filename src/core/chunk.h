@@ -41,18 +41,11 @@
 #include "common/marked_ptr.h"
 #include "common/thread_registry.h"
 #include "core/layout.h"
+#include "core/rebalance_object.h"
 #include "core/version.h"
 #include "reclaim/pool.h"
 
 namespace kiwi::core {
-
-template <typename Layout>
-struct RebalanceObjectT;
-
-/// Out-of-line hook so ~ChunkT need not see RebalanceObject's definition
-/// (defined in chunk.cpp; rebalance_object.h would cycle back here).
-template <typename Layout>
-void UnrefRebalanceObject(RebalanceObjectT<Layout>* ro);
 
 template <typename Layout>
 class KiWiMapT;
@@ -453,7 +446,7 @@ void ChunkT<Layout>::FillCell(Cell& cell, std::uint32_t j,
 template <typename Layout>
 ChunkT<Layout>::~ChunkT() {
   if (RebalanceObjectT<Layout>* engaged = ro.load(std::memory_order_acquire)) {
-    UnrefRebalanceObject(engaged);
+    RebalanceObjectT<Layout>::Unref(engaged);
   }
 }
 

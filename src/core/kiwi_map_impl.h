@@ -222,7 +222,7 @@ bool KiWiMapT<Layout>::InstallEntry(Chunk* chunk, std::size_t slot,
     return false;
   }
   if (traced) KIWI_TRACE(kPutPpaPublish, Layout::TraceKey(key), i);
-  TestHooks::Run(TestHooks::put_before_version_cas);
+  TestHooks::Run(TestHooks::kPutBeforeVersionCas);
   const Version gv = gv_.Load();
   std::uint64_t published = Chunk::PackPpa(Chunk::kPpaVerBottom, i);
   const bool own_cas = chunk->ppa[slot].compare_exchange_strong(
@@ -465,7 +465,7 @@ std::optional<typename Layout::OwnedValue> KiWiMapT<Layout>::ReadKey(
   if (!TestHooks::MutantEnabled(TestHooks::kSkipGetHelp)) [[likely]] {
     chunk->HelpPendingPuts(gv_, key, key);
   }
-  TestHooks::Run(TestHooks::get_after_help);
+  TestHooks::Run(TestHooks::kGetAfterHelp);
   const typename Chunk::LatestResult latest =
       chunk->FindLatest(key, max_version);
   if (!latest.found || latest.is_tombstone) return std::nullopt;
@@ -519,7 +519,7 @@ std::size_t KiWiMapT<Layout>::ScanImpl(
     pin.version = gv_.FetchIncrement();  // mutant: invisible to rebalance
     // Fire the same site so the fuzzer can stall the mutant scan in its
     // vulnerable window (read point taken, chunks not yet read).
-    TestHooks::Run(TestHooks::scan_before_version_install);
+    TestHooks::Run(TestHooks::kScanBeforeVersionInstall);
   }
 
   // -- 2. read every key in range at the read point.
@@ -535,7 +535,7 @@ template <typename Layout>
 auto KiWiMapT<Layout>::AcquireReadPoint(PsaEntry& entry, PsaKey low,
                                         PsaKey high) -> ReadPin {
   const std::uint64_t seq = entry.PublishPending(low, high);
-  TestHooks::Run(TestHooks::scan_before_version_install);
+  TestHooks::Run(TestHooks::kScanBeforeVersionInstall);
   const Version fetched = gv_.FetchIncrement();
   const Version version = entry.InstallOwn(seq, fetched);
   return ReadPin{version, seq, version != fetched};

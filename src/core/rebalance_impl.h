@@ -106,7 +106,7 @@ std::size_t KiWiMapT<Layout>::Rebalance(Chunk* chunk,
     KIWI_TRACE(kRebFreeze, reinterpret_cast<std::uintptr_t>(ro), frozen);
   }
 
-  TestHooks::Run(TestHooks::rebalance_after_freeze);
+  TestHooks::Run(TestHooks::kRebalanceAfterFreeze);
 
   // ---- stages 3-4: minimal version + build ------------------------------
   // The sector's key range is [first.minKey, succ.minKey); succ's minKey is
@@ -138,7 +138,7 @@ std::size_t KiWiMapT<Layout>::Rebalance(Chunk* chunk,
     if (!consensus_winner) {
       DiscardSection(mine.first);  // never published
     }
-    TestHooks::Run(TestHooks::replace_before_splice);
+    TestHooks::Run(TestHooks::kReplaceBeforeSplice);
     Replace(ro, last, &splice_winner);
     KIWI_TRACE(kRebReplace, reinterpret_cast<std::uintptr_t>(ro),
                (static_cast<std::uint64_t>(consensus_winner) << 1) |
@@ -240,7 +240,7 @@ auto KiWiMapT<Layout>::Engage(Chunk* chunk, Chunk** last_out)
     if (next == nullptr) break;  // sealed
     // A stall here is the disagreement window: another helper can extend or
     // seal the run before our CAS, leaving our observed length stale.
-    TestHooks::Run(TestHooks::rebalance_during_engage);
+    TestHooks::Run(TestHooks::kRebalanceDuringEngage);
     const bool want =
         next->status.load(std::memory_order_acquire) !=
             Chunk::Status::kSentinel &&
@@ -663,7 +663,7 @@ void KiWiMapT<Layout>::Normalize(RebalanceObject* ro) {
   KIWI_TRACE(kRebIndex, reinterpret_cast<std::uintptr_t>(ro), 0);
   // The replacement section is live but the index still aims at the old
   // chunks; lookups crossing this window must recover via the list walk.
-  TestHooks::Run(TestHooks::rebalance_before_index_update);
+  TestHooks::Run(TestHooks::kRebalanceBeforeIndexUpdate);
   // ---- stage 6: index update -----------------------------------------
   // Unindex the engaged chunks (walk by ro membership)...
   for (Chunk* c = ro->first;

@@ -64,8 +64,8 @@ struct RoundParams {
   bool byte_keys = false;
   /// Mutant mask installed for the round (TestHooks::Mutant bits).
   std::uint32_t mutants = 0;
-  /// Restrict the seed-derived schedule to these sites (bit i = site i in
-  /// TestHooks::AllSites() order); default leaves the schedule as drawn.
+  /// Restrict the seed-derived schedule to these sites (bit i = row i of
+  /// KIWI_TEST_HOOK_SITES); default leaves the schedule as drawn.
   /// The minimizer shrinks failures by clearing bits here.
   std::uint64_t site_mask = ~std::uint64_t{0};
   /// Directed mode: pin these sites to fixed configs after the seed-derived

@@ -43,17 +43,7 @@ using kiwi::fuzz::RoundParams;
 using kiwi::fuzz::RoundResult;
 using kiwi::fuzz::RunRound;
 using kiwi::fuzz::Schedule;
-
-struct MutantName {
-  const char* name;
-  TestHooks::Mutant bit;
-};
-constexpr MutantName kMutants[] = {
-    {"last_engaged_race", TestHooks::kLastEngagedRace},
-    {"skip_scan_publish", TestHooks::kSkipScanPublish},
-    {"skip_get_help", TestHooks::kSkipGetHelp},
-    {"eager_tombstone_purge", TestHooks::kEagerTombstonePurge},
-};
+using kiwi::fuzz::SiteAction;
 
 struct Options {
   RoundParams params;
@@ -128,9 +118,16 @@ bool ParseU64(const char* s, std::uint64_t& out) {
   return end != s && *end == '\0';
 }
 
-/// "I:A:P:N" -> forced site config (see --force-site in Usage()).
-bool ParseForceSite(const char* s, RoundParams::SiteOverride& out) {
-  std::string spec(s);
+/// A percentage: an integer in [0, 100].
+bool ParsePct(const std::string& s, std::uint32_t& out) {
+  std::uint64_t v = 0;
+  if (!ParseU64(s.c_str(), v) || v > 100) return false;
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+/// "a:b:c" -> {"a", "b", "c"}: the --mix and --force-site specs.
+std::vector<std::string> SplitColons(const std::string& spec) {
   std::vector<std::string> parts;
   std::size_t start = 0;
   for (std::size_t colon; (colon = spec.find(':', start)) != std::string::npos;
@@ -138,23 +135,25 @@ bool ParseForceSite(const char* s, RoundParams::SiteOverride& out) {
     parts.push_back(spec.substr(start, colon - start));
   }
   parts.push_back(spec.substr(start));
-  if (parts.size() != 4) return false;
-  std::uint64_t site = 0, prob = 0, intensity = 0;
-  if (!ParseU64(parts[0].c_str(), site) || site >= TestHooks::kSiteCount ||
-      !ParseU64(parts[2].c_str(), prob) || prob > 100 ||
+  return parts;
+}
+
+/// "I:A:P:N" -> forced site config (see --force-site in Usage()).
+bool ParseForceSite(const char* s, RoundParams::SiteOverride& out) {
+  const std::vector<std::string> parts = SplitColons(s);
+  std::uint64_t site = 0, intensity = 0;
+  std::uint32_t prob = 0;
+  if (parts.size() != 4 || !ParseU64(parts[0].c_str(), site) ||
+      site >= TestHooks::kSiteCount || !ParsePct(parts[2], prob) ||
       !ParseU64(parts[3].c_str(), intensity)) {
     return false;
   }
-  kiwi::fuzz::SiteAction action;
-  if (parts[1] == "yield") {
-    action = kiwi::fuzz::SiteAction::kYield;
-  } else if (parts[1] == "sleep") {
-    action = kiwi::fuzz::SiteAction::kSleep;
-  } else if (parts[1] == "spin") {
-    action = kiwi::fuzz::SiteAction::kSpin;
-  } else {
-    return false;
+  SiteAction action = SiteAction::kOff;  // not a valid pin
+  for (const SiteAction a :
+       {SiteAction::kYield, SiteAction::kSleep, SiteAction::kSpin}) {
+    if (parts[1] == kiwi::fuzz::ActionName(a)) action = a;
   }
+  if (action == SiteAction::kOff) return false;
   out.site = static_cast<std::uint32_t>(site);
   out.config.action = action;
   out.config.probability_pct = static_cast<std::uint8_t>(prob);
@@ -206,18 +205,15 @@ int ParseArgs(int argc, char** argv, Options& opt) {
       if (!ParseU64(s, v) || v == 0) return 2;
       opt.params.max_engaged_chunks = static_cast<std::uint32_t>(v);
     } else if (const char* s = value("--mix=")) {
-      unsigned put = 0, remove = 0, get = 0;
-      if (std::sscanf(s, "%u:%u:%u", &put, &remove, &get) != 3 ||
-          put + remove + get > 100) {
+      const std::vector<std::string> parts = SplitColons(s);
+      if (parts.size() != 3 || !ParsePct(parts[0], opt.params.put_pct) ||
+          !ParsePct(parts[1], opt.params.remove_pct) ||
+          !ParsePct(parts[2], opt.params.get_pct)) {
         std::fprintf(stderr, "bad --mix spec '%s' (want PUT:REMOVE:GET)\n", s);
         return 2;
       }
-      opt.params.put_pct = put;
-      opt.params.remove_pct = remove;
-      opt.params.get_pct = get;
     } else if (const char* s = value("--batch-pct=")) {
-      if (!ParseU64(s, v) || v > 100) return 2;
-      opt.params.batch_pct = static_cast<std::uint32_t>(v);
+      if (!ParsePct(s, opt.params.batch_pct)) return 2;
     } else if (const char* s = value("--batch-max=")) {
       if (!ParseU64(s, v) || v == 0) return 2;
       opt.params.max_batch = static_cast<std::uint32_t>(v);
@@ -233,13 +229,17 @@ int ParseArgs(int argc, char** argv, Options& opt) {
       }
       opt.params.forced_sites.push_back(forced);
     } else if (const char* s = value("--mutant-mask=")) {
-      if (!ParseU64(s, v)) return 2;
+      if (!ParseU64(s, v) || v >> TestHooks::kMutantCount != 0) {
+        std::fprintf(stderr, "bad --mutant-mask '%s' (see --list-mutants)\n",
+                     s);
+        return 2;
+      }
       opt.params.mutants |= static_cast<std::uint32_t>(v);
     } else if (const char* s = value("--mutant=")) {
       bool known = false;
-      for (const MutantName& m : kMutants) {
-        if (std::strcmp(s, m.name) == 0) {
-          opt.params.mutants |= m.bit;
+      for (std::size_t m = 0; m < TestHooks::kMutantCount; ++m) {
+        if (std::strcmp(s, TestHooks::kMutantNames[m]) == 0) {
+          opt.params.mutants |= 1u << m;
           known = true;
         }
       }
@@ -270,14 +270,13 @@ int ParseArgs(int argc, char** argv, Options& opt) {
       }
       return -1;
     } else if (arg == "--list-mutants") {
-      for (const MutantName& m : kMutants) {
-        std::printf("%-24s 0x%x\n", m.name, m.bit);
+      for (std::size_t m = 0; m < TestHooks::kMutantCount; ++m) {
+        std::printf("%-24s 0x%x\n", TestHooks::kMutantNames[m], 1u << m);
       }
       return -1;
     } else if (arg == "--list-sites") {
-      const auto& sites = TestHooks::AllSites();
-      for (std::size_t j = 0; j < sites.size(); ++j) {
-        std::printf("%zu  %s\n", j, sites[j].name);
+      for (std::size_t j = 0; j < TestHooks::kSiteCount; ++j) {
+        std::printf("%zu  %s\n", j, TestHooks::kSiteNames[j]);
       }
       return -1;
     } else if (arg == "--help" || arg == "-h") {
@@ -288,6 +287,14 @@ int ParseArgs(int argc, char** argv, Options& opt) {
       Usage(stderr);
       return 2;
     }
+  }
+  const RoundParams& p = opt.params;
+  const std::uint64_t shares = std::uint64_t{p.put_pct} + p.remove_pct +
+                               p.get_pct + p.batch_pct;
+  if (shares > 100) {
+    std::fprintf(stderr, "--mix and --batch-pct total %llu%% (max 100)\n",
+                 static_cast<unsigned long long>(shares));
+    return 2;
   }
   return 0;
 }
@@ -323,21 +330,13 @@ int HandleFailure(const Options& opt, RoundParams params,
   return 1;
 }
 
-/// Fork-per-round: returns true when the child found a violation OR died
-/// (assert/crash) — either way the harness detected the defect.
-bool RoundDetectsInChild(const RoundParams& params) {
+/// Runs `body` (0 = consistent, non-zero = violation) in a forked child.
+/// True when the child found a violation OR died (assert/crash) — either
+/// way the harness detected the defect.
+template <typename Body>
+bool DetectsInChild(Body body) {
   const pid_t pid = fork();
-  if (pid == 0) {
-    const RoundResult r = RunRound(params);
-    if (!r.ok) {
-      std::printf("  child seed=%llu: %s\n",
-                  static_cast<unsigned long long>(params.seed),
-                  r.message.c_str());
-      std::fflush(stdout);
-      _exit(1);
-    }
-    _exit(0);
-  }
+  if (pid == 0) _exit(body());
   if (pid < 0) {
     std::perror("fork");
     std::exit(2);
@@ -345,8 +344,7 @@ bool RoundDetectsInChild(const RoundParams& params) {
   int status = 0;
   waitpid(pid, &status, 0);
   if (WIFSIGNALED(status)) {
-    std::printf("  child seed=%llu: died with signal %d (detection)\n",
-                static_cast<unsigned long long>(params.seed),
+    std::printf("  child died with signal %d (detection)\n",
                 WTERMSIG(status));
     return true;
   }
@@ -400,17 +398,7 @@ int main(int argc, char** argv) {
                                opt.scenario.c_str());
       return rc;
     }
-    const pid_t pid = fork();
-    if (pid == 0) _exit(run_scenario());
-    if (pid < 0) {
-      std::perror("fork");
-      return 2;
-    }
-    int status = 0;
-    waitpid(pid, &status, 0);
-    const bool detected =
-        WIFSIGNALED(status) ||
-        (WIFEXITED(status) && WEXITSTATUS(status) != 0);
+    const bool detected = DetectsInChild(run_scenario);
     std::printf("scenario %s: mutant-mask=0x%x %s\n", opt.scenario.c_str(),
                 opt.params.mutants, detected ? "DETECTED" : "NOT detected");
     return detected ? 0 : 1;
@@ -423,7 +411,16 @@ int main(int argc, char** argv) {
       RoundParams params = opt.params;
       params.seed = first + i;
       g_current_seed.store(params.seed, std::memory_order_relaxed);
-      if (RoundDetectsInChild(params)) {
+      const bool detected = DetectsInChild([&params] {
+        const RoundResult r = RunRound(params);
+        if (r.ok) return 0;
+        std::printf("  child seed=%llu: %s\n",
+                    static_cast<unsigned long long>(params.seed),
+                    r.message.c_str());
+        std::fflush(stdout);
+        return 1;
+      });
+      if (detected) {
         std::printf("DETECTED at seed=%llu\n",
                     static_cast<unsigned long long>(params.seed));
         return 0;

@@ -41,8 +41,8 @@ using core::KiWiMap;
 // ---- handshake gates ----------------------------------------------------
 //
 // TestHooks hooks are plain function pointers, so the choreography lives in
-// file-scope state: each participating thread sets a role, and the hook
-// trampolines block specific (role, firing-count) pairs on explicit gates.
+// file-scope state: each participating thread sets a role, and the hooks
+// block specific (role, firing-count) pairs on explicit gates.
 // Every wait has a generous deadline — a timeout aborts the choreography
 // and reports a setup note instead of hanging the suite.
 
@@ -82,7 +82,7 @@ void ReleaseAllGates() {
 /// rebalance_during_engage: A passes its first iteration (engaging X) and
 /// blocks on the second (holding next=Y, about to cap-seal); B blocks on
 /// its first (holding the same next=Y).
-void EngageGateHook() {
+void EngageGateHook(TestHooks::Site) {
   ++t_engage_fires;
   if (t_role == 'A' && t_engage_fires == 2) {
     g_a_at_seal.arrived.store(true, std::memory_order_release);
@@ -95,7 +95,7 @@ void EngageGateHook() {
 
 /// replace_before_splice: A blocks after winning consensus so B can run
 /// its whole divergent rebalance first; B passes.
-void SpliceGateHook() {
+void SpliceGateHook(TestHooks::Site) {
   ++t_splice_fires;
   if (t_role == 'A' && t_splice_fires == 1) {
     g_a_at_splice.arrived.store(true, std::memory_order_release);
@@ -145,9 +145,9 @@ ScenarioResult RunEngageStragglerScenario() {
 
   ScenarioResult result;
   {
-    TestHooks::Scoped engage_gate(TestHooks::rebalance_during_engage,
+    TestHooks::Scoped engage_gate(TestHooks::kRebalanceDuringEngage,
                                   &EngageGateHook);
-    TestHooks::Scoped splice_gate(TestHooks::replace_before_splice,
+    TestHooks::Scoped splice_gate(TestHooks::kReplaceBeforeSplice,
                                   &SpliceGateHook);
 
     // A: engages V then X; blocks holding next=Y just before the cap seal.

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <sstream>
 #include <thread>
-#include <utility>
 
 #include "common/assert.h"
 #include "common/random.h"
@@ -44,21 +43,11 @@ void SpinPause() {
 #endif
 }
 
-template <std::size_t I>
-void Trampoline() {
+void FireEngine(TestHooks::Site site) {
   if (PerturbationEngine* engine = g_engine.load(std::memory_order_acquire)) {
-    engine->Fire(I);
+    engine->Fire(site);
   }
 }
-
-template <std::size_t... Is>
-constexpr std::array<TestHooks::Hook, TestHooks::kSiteCount> MakeTrampolines(
-    std::index_sequence<Is...>) {
-  return {&Trampoline<Is>...};
-}
-
-constexpr auto kTrampolines =
-    MakeTrampolines(std::make_index_sequence<TestHooks::kSiteCount>{});
 
 }  // namespace
 
@@ -124,12 +113,12 @@ Schedule Schedule::WithActiveMask(std::uint64_t mask) const {
 std::string Schedule::Describe() const {
   std::ostringstream os;
   os << "seed=0x" << std::hex << seed << std::dec << " sites:";
-  const auto& names = TestHooks::AllSites();
   bool any = false;
   for (std::size_t i = 0; i < sites.size(); ++i) {
     if (sites[i].action == SiteAction::kOff) continue;
     any = true;
-    os << " " << names[i].name << "=" << ActionName(sites[i].action) << "(p"
+    os << " " << TestHooks::kSiteNames[i] << "="
+       << ActionName(sites[i].action) << "(p"
        << static_cast<int>(sites[i].probability_pct) << ",i"
        << sites[i].intensity << ")";
   }
@@ -143,23 +132,22 @@ PerturbationEngine::PerturbationEngine(const Schedule& schedule)
   const bool won = g_engine.compare_exchange_strong(
       expected, this, std::memory_order_acq_rel);
   KIWI_ASSERT(won, "only one PerturbationEngine may be live at a time");
-  const auto& sites = TestHooks::AllSites();
-  for (std::size_t i = 0; i < sites.size(); ++i) {
+  for (std::size_t i = 0; i < TestHooks::kSiteCount; ++i) {
     if (schedule_.sites[i].action != SiteAction::kOff) {
-      sites[i].site->store(kTrampolines[i], std::memory_order_release);
+      TestHooks::hooks[i].store(&FireEngine, std::memory_order_release);
     }
   }
 }
 
 PerturbationEngine::~PerturbationEngine() {
-  for (const auto& site : TestHooks::AllSites()) {
-    site.site->store(nullptr, std::memory_order_release);
+  for (auto& hook : TestHooks::hooks) {
+    hook.store(nullptr, std::memory_order_release);
   }
   g_engine.store(nullptr, std::memory_order_release);
 }
 
-void PerturbationEngine::Fire(std::size_t site_index) {
-  const SiteConfig& cfg = schedule_.sites[site_index];
+void PerturbationEngine::Fire(TestHooks::Site site) {
+  const SiteConfig& cfg = schedule_.sites[site];
   if (cfg.action == SiteAction::kOff) return;
   ThreadRng& tl = LocalRng(schedule_.seed);
   if (tl.rng.NextBounded(100) >= cfg.probability_pct) return;

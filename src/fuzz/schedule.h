@@ -2,8 +2,8 @@
 //
 // A Schedule maps every TestHooks site to an action (off / yield / short
 // sleep / spin) with a firing probability and intensity, all derived
-// deterministically from one 64-bit seed.  PerturbationEngine installs a
-// trampoline at each active site; when a thread passes the site, a
+// deterministically from one 64-bit seed.  PerturbationEngine installs one
+// hook at every active site; when a thread passes the site, a
 // thread-local PRNG (seeded from the schedule seed and a deterministic
 // thread ordinal) decides whether and how hard to stall.
 //
@@ -58,9 +58,9 @@ struct Schedule {
 };
 
 /// Installs the schedule into TestHooks on construction, clears all sites on
-/// destruction.  At most one engine may be live at a time (the trampolines
-/// reference a single global).  Not thread-safe to construct/destruct while
-/// worker threads are inside the map.
+/// destruction.  At most one engine may be live at a time (the installed
+/// hook reaches it through a single global).  Not thread-safe to
+/// construct/destruct while worker threads are inside the map.
 class PerturbationEngine {
  public:
   explicit PerturbationEngine(const Schedule& schedule);
@@ -69,8 +69,8 @@ class PerturbationEngine {
   PerturbationEngine(const PerturbationEngine&) = delete;
   PerturbationEngine& operator=(const PerturbationEngine&) = delete;
 
-  /// Called by the per-site trampolines.
-  void Fire(std::size_t site_index);
+  /// Called by the installed hook when a thread passes `site`.
+  void Fire(TestHooks::Site site);
 
  private:
   Schedule schedule_;

@@ -16,15 +16,15 @@ namespace kiwi::harness {
 
 namespace {
 
-std::uint64_t EnvOr(const char* name, std::uint64_t fallback) {
+using Clock = std::chrono::steady_clock;
+
+}  // namespace
+
+std::uint64_t EnvOrU64(const char* name, std::uint64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   return std::strtoull(raw, nullptr, 10);
 }
-
-using Clock = std::chrono::steady_clock;
-
-}  // namespace
 
 const RoleResult& RunResult::Role(const std::string& name) const {
   for (const RoleResult& role : roles) {
@@ -35,10 +35,11 @@ const RoleResult& RunResult::Role(const std::string& name) const {
 }
 
 DriverOptions DriverOptions::FromEnv(DriverOptions defaults) {
-  defaults.warmup_ms = EnvOr("KIWI_BENCH_WARMUP_MS", defaults.warmup_ms);
-  defaults.iteration_ms = EnvOr("KIWI_BENCH_ITER_MS", defaults.iteration_ms);
+  defaults.warmup_ms = EnvOrU64("KIWI_BENCH_WARMUP_MS", defaults.warmup_ms);
+  defaults.iteration_ms =
+      EnvOrU64("KIWI_BENCH_ITER_MS", defaults.iteration_ms);
   defaults.iterations = static_cast<std::uint32_t>(
-      EnvOr("KIWI_BENCH_ITERS", defaults.iterations));
+      EnvOrU64("KIWI_BENCH_ITERS", defaults.iterations));
   if (const char* env = std::getenv("KIWI_BENCH_TRACE");
       env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0) {
     defaults.trace_path = std::strcmp(env, "1") == 0 ? "kiwi_trace.json" : env;

@@ -41,6 +41,10 @@ struct RunResult {
   const RoleResult& Role(const std::string& name) const;
 };
 
+/// The integer in environment variable `name`, or `fallback` when it is
+/// unset or empty (the KIWI_BENCH_* knobs).
+std::uint64_t EnvOrU64(const char* name, std::uint64_t fallback);
+
 struct DriverOptions {
   std::uint64_t warmup_ms = 150;
   std::uint64_t iteration_ms = 400;

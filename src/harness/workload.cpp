@@ -6,17 +6,6 @@
 
 namespace kiwi::harness {
 
-std::string WorkloadSpec::Describe() const {
-  char buffer[160];
-  std::snprintf(buffer, sizeof(buffer),
-                "get=%.2f put=%.2f rm=%.2f scan=%.2f range=%llu scan_size=%llu%s",
-                get_fraction, put_fraction, remove_fraction, scan_fraction,
-                static_cast<unsigned long long>(key_range),
-                static_cast<unsigned long long>(scan_size),
-                ordered_keys ? " ordered" : "");
-  return buffer;
-}
-
 WorkloadSpec WorkloadSpec::GetOnly(std::uint64_t key_range) {
   WorkloadSpec spec;
   spec.get_fraction = 1.0;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "api/map_interface.h"
 #include "common/config.h"
@@ -30,8 +29,6 @@ struct WorkloadSpec {
   /// Monotonically increasing keys instead of uniform (ordered workload,
   /// §6.2); each thread strides by the total thread count.
   bool ordered_keys = false;
-
-  std::string Describe() const;
 
   // -- canned mixes matching the paper's scenarios -----------------------
   static WorkloadSpec GetOnly(std::uint64_t key_range);

@@ -16,21 +16,33 @@
 #include <string>
 
 // Every integer ChunkCensus scalar, in the canonical (wire/JSON) order.
-// This list drives ToJson, DebugReport::ToText and the Prometheus gauge
-// names (kiwi_census_<name>); the double means and the decile histograms
-// are rendered explicitly after it.
-#define KIWI_OBS_CENSUS_FIELDS(X) \
-  X(chunks)                       \
-  X(infant)                       \
-  X(normal)                       \
-  X(frozen)                       \
-  X(engaged)                      \
-  X(allocated_cells)              \
-  X(batched_cells)                \
-  X(arena_used_bytes)             \
-  X(arena_capacity_bytes)         \
-  X(slab_bytes)                   \
-  X(age_min_ns)                   \
+// This list declares them and drives ToJson, DebugReport::ToText and the
+// Prometheus gauge names (kiwi_census_<name>); the double means and the
+// decile histograms are declared and rendered explicitly after it.
+#define KIWI_OBS_CENSUS_FIELDS(X)                                           \
+  /* ---- population --------------------------------------------------- */ \
+  X(chunks)               /* data chunks walked (sentinel excluded) */      \
+  X(infant)               /* status counts at observation time... */        \
+  X(normal)                                                                 \
+  X(frozen)                                                                 \
+  /* Chunks engaged in a still-running rebalance (ro set, not done): the    \
+     "pending rebalance" population.  Frozen-but-done chunks are retired    \
+     stragglers a guard still pins; they count under `frozen` only. */      \
+  X(engaged)                                                                \
+  /* ---- cells -------------------------------------------------------- */ \
+  X(allocated_cells)      /* cells handed out across chunks */              \
+  X(batched_cells)        /* cells in binary-searchable prefixes */         \
+  /* ---- byte arenas: KiWiByteMap only (int64 chunks carry none) ------ */ \
+  X(arena_used_bytes)     /* claimed bytes across chunks */                 \
+  X(arena_capacity_bytes) /* total arena bytes provisioned */               \
+  /* Pool-rounded slab bytes of the walked chunks: the chunk part of        \
+     KiWiMap::MemoryFootprint(), so DebugReport's memory_bytes gauge needs  \
+     no second walk. */                                                     \
+  X(slab_bytes)                                                             \
+  /* Chunk age (steady-clock ns since Chunk::Create).  Age extremes spot    \
+     both churn (max ≈ 0: nothing survives) and stagnation (a hot chunk     \
+     that never rebalances). */                                             \
+  X(age_min_ns)                                                             \
   X(age_max_ns)
 
 namespace kiwi::obs {
@@ -42,24 +54,16 @@ namespace kiwi::obs {
 struct ChunkCensus {
   static constexpr std::size_t kDecileBuckets = 10;
 
-  // ---- population -------------------------------------------------------
-  std::uint64_t chunks = 0;  // data chunks walked (sentinel excluded)
-  std::uint64_t infant = 0;  // status counts at observation time...
-  std::uint64_t normal = 0;
-  std::uint64_t frozen = 0;
-  /// Chunks engaged in a still-running rebalance (ro set, not done): the
-  /// "pending rebalance" population.  Frozen-but-done chunks are retired
-  /// stragglers a guard still pins; they count under `frozen` only.
-  std::uint64_t engaged = 0;
+#define KIWI_OBS_DECLARE_CENSUS(name) std::uint64_t name = 0;
+  KIWI_OBS_CENSUS_FIELDS(KIWI_OBS_DECLARE_CENSUS)
+#undef KIWI_OBS_DECLARE_CENSUS
 
-  // ---- cells -------------------------------------------------------------
-  std::uint64_t allocated_cells = 0;  // cells handed out across chunks
-  std::uint64_t batched_cells = 0;    // cells in binary-searchable prefixes
   /// Per-chunk means of the two ratios bucketed below: fill factor
   /// (allocated / capacity) and sorted-prefix share (batched / allocated,
   /// empty chunks count as 1).  Zero when there are no data chunks.
   double avg_fill = 0;
   double batched_ratio = 0;
+  double age_mean_ns = 0;  // mean chunk age (see age_min_ns)
 
   // ---- distributions ------------------------------------------------------
   /// Fill factor per chunk (allocated / capacity), deciles.
@@ -68,30 +72,12 @@ struct ChunkCensus {
   /// as fully batched), deciles.  A left-leaning distribution means lookups
   /// are degenerating into linear list walks and rebalance is overdue.
   std::array<std::uint64_t, kDecileBuckets> batched_hist{};
-
-  // ---- byte arenas --------------------------------------------------------
-  /// Per-chunk byte-arena occupancy (KiWiByteMap; always zero for the
-  /// fixed-width int64 map, whose chunks carry no arena).  A chunk whose
-  /// arena fills before its cell array still rebalances — a right-heavy
-  /// arena_hist with a left-heavy fill_hist means values are outsizing the
-  /// configured ByteConfig::arena_bytes_per_cell.
-  std::uint64_t arena_used_bytes = 0;      // claimed bytes across chunks
-  std::uint64_t arena_capacity_bytes = 0;  // total arena bytes provisioned
   /// Arena fill per arena-bearing chunk (used / capacity), deciles.  Counts
   /// only chunks with a non-zero arena, so it stays all-zero for int64 maps.
+  /// A chunk whose arena fills before its cell array still rebalances — a
+  /// right-heavy arena_hist with a left-heavy fill_hist means values are
+  /// outsizing the configured ByteConfig::arena_bytes_per_cell.
   std::array<std::uint64_t, kDecileBuckets> arena_hist{};
-
-  /// Pool-rounded slab bytes of the walked chunks: the chunk part of
-  /// KiWiMap::MemoryFootprint(), so DebugReport's memory_bytes gauge needs
-  /// no second walk.
-  std::uint64_t slab_bytes = 0;
-
-  /// Chunk age (steady-clock ns since Chunk::Create).  Age extremes spot
-  /// both churn (max ≈ 0: nothing survives) and stagnation (a hot chunk
-  /// that never rebalances).
-  std::uint64_t age_min_ns = 0;
-  std::uint64_t age_max_ns = 0;
-  double age_mean_ns = 0;
 
   /// Decile index (0..9) for a ratio in [0, 1]; out-of-range clamps.
   static std::size_t DecileFor(double ratio) {

@@ -15,26 +15,29 @@
 #include "obs/census.h"
 #include "obs/stats_registry.h"
 
-// Every DebugReport gauge, in the canonical (wire/JSON) order.  Like
-// KIWI_OBS_COUNTER_FIELDS, this single list drives ToText, ToJson, the
-// metrics pump, and the Prometheus gauge names (kiwi_<name>).  A row without
-// a DebugReport::Gauges field fails to compile in report.cpp; a field
-// without a row is rendered nowhere.
-#define KIWI_OBS_GAUGE_FIELDS(X) \
-  X(psa_active)                  \
-  X(snapshot_pins)               \
-  X(ebr_pending)                 \
-  X(ebr_pending_bytes)           \
-  X(ebr_epoch)                   \
-  X(ebr_epoch_lag)               \
-  X(global_version)              \
-  X(memory_bytes)                \
-  X(pool_hits)                   \
-  X(pool_misses)                 \
-  X(pool_recycled)               \
-  X(pool_class_retries)          \
-  X(pool_live_bytes)             \
-  X(pool_pooled_bytes)
+// Every DebugReport gauge, in the canonical (wire/JSON) order: structural
+// health outside the chunk list, computed at report time.  Like
+// KIWI_OBS_COUNTER_FIELDS, this single list declares DebugReport::Gauges
+// and drives ToText, ToJson, the metrics pump, and the Prometheus gauge
+// names (kiwi_<name>).
+#define KIWI_OBS_GAUGE_FIELDS(X)                                            \
+  X(psa_active)         /* in-flight transient scan entries */              \
+  X(snapshot_pins)      /* open Snapshot-view read points */                \
+  X(ebr_pending)        /* retired, not-yet-freed objects */                \
+  X(ebr_pending_bytes)  /* bytes in EBR limbo */                            \
+  X(ebr_epoch)          /* current global epoch */                          \
+  X(ebr_epoch_lag)      /* epoch minus slowest active guard */              \
+  X(global_version)     /* GV (scans performed + 1) */                      \
+  X(memory_bytes)       /* == KiWiMap::MemoryFootprint() */                 \
+  /* ---- slab-pool recycling (src/reclaim/pool.h): hits and misses are     \
+     monotone allocation counters; the byte gauges split the pool's view    \
+     of memory into handed-out (live) vs idle recycled stock (pooled) */    \
+  X(pool_hits)          /* allocations served from the pool */              \
+  X(pool_misses)        /* allocations that went to the OS */               \
+  X(pool_recycled)      /* slabs captured for reuse */                      \
+  X(pool_class_retries) /* lost size-class registry CASes */                \
+  X(pool_live_bytes)    /* slab bytes handed out, unreturned */             \
+  X(pool_pooled_bytes)  /* idle slab bytes held for reuse */
 
 namespace kiwi::obs {
 
@@ -65,25 +68,11 @@ struct DebugReport {
   /// arenas, ages) from the report's one chunk-list walk.
   ChunkCensus census;
 
-  /// Structural health outside the chunk list, computed at report time.
+  /// Structural health outside the chunk list: KIWI_OBS_GAUGE_FIELDS.
   struct Gauges {
-    std::uint64_t psa_active = 0;       // in-flight transient scan entries
-    std::uint64_t snapshot_pins = 0;    // open Snapshot-view read points
-    std::uint64_t ebr_pending = 0;      // retired, not-yet-freed objects
-    std::uint64_t ebr_pending_bytes = 0;  // bytes in EBR limbo
-    std::uint64_t ebr_epoch = 0;        // current global epoch
-    std::uint64_t ebr_epoch_lag = 0;    // epoch minus slowest active guard
-    std::uint64_t global_version = 0;   // GV (scans performed + 1)
-    std::uint64_t memory_bytes = 0;     // == KiWiMap::MemoryFootprint()
-    // Slab-pool recycling (see src/reclaim/pool.h).  hits/misses are
-    // monotone allocation counters; the byte gauges split the pool's view
-    // of memory into handed-out (live) vs idle recycled stock (pooled).
-    std::uint64_t pool_hits = 0;         // allocations served from the pool
-    std::uint64_t pool_misses = 0;       // allocations that went to the OS
-    std::uint64_t pool_recycled = 0;     // slabs captured for reuse
-    std::uint64_t pool_class_retries = 0;  // lost size-class registry CASes
-    std::uint64_t pool_live_bytes = 0;   // slab bytes handed out, unreturned
-    std::uint64_t pool_pooled_bytes = 0;  // idle slab bytes held for reuse
+#define KIWI_OBS_DECLARE_GAUGE(name) std::uint64_t name = 0;
+    KIWI_OBS_GAUGE_FIELDS(KIWI_OBS_DECLARE_GAUGE)
+#undef KIWI_OBS_DECLARE_GAUGE
   } gauges;
 
   /// Multi-line human-readable rendering (for terminals and logs).

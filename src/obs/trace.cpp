@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include <fcntl.h>
@@ -76,74 +77,30 @@ std::vector<Event> CollectMerged() {
   return all;
 }
 
-/// Arg rendering: which of a0/a1 are pointers (hex strings in JSON).
-constexpr unsigned kA0Hex = 1, kA1Hex = 2;
+/// How the consumers render one event: a row of KIWI_TRACE_EVENTS.
+struct EventInfo {
+  const char* name;
+  unsigned hex;  // bit 0: a0, bit 1: a1 is a pointer ("0x..." in JSON)
+  char phase;    // 'i' instant, 'B' opens `span`, 'E' closes it
+  const char* span;
+};
 
-unsigned ArgHexMask(Ev id) {
-  switch (id) {
-    case Ev::kPutRestart:
-      return kA1Hex;
-    case Ev::kScanHelpInstall:
-      return kA0Hex;
-    case Ev::kRebStart:
-      return kA0Hex;
-    case Ev::kRebEngage:
-    case Ev::kRebEngageAdopt:
-      return kA0Hex | kA1Hex;
-    case Ev::kRebFreeze:
-    case Ev::kRebMinVersion:
-    case Ev::kRebBuild:
-    case Ev::kRebReplace:
-    case Ev::kRebIndex:
-    case Ev::kRebNormalize:
-    case Ev::kRebDone:
-      return kA0Hex;
-    case Ev::kChunkDiscard:
-    case Ev::kEbrRetire:
-      return kA0Hex;
-    default:
-      return 0;
-  }
-}
-
-/// Span phases: which events open/close a duration slice in the export.
-enum class Phase { kInstant, kBegin, kEnd };
-
-Phase PhaseOf(Ev id) {
-  switch (id) {
-    case Ev::kRebStart:
-    case Ev::kScanBegin:
-      return Phase::kBegin;
-    case Ev::kRebDone:
-    case Ev::kScanEnd:
-      return Phase::kEnd;
-    default:
-      return Phase::kInstant;
-  }
-}
-
-/// Display name of the span an event opens/closes.
-const char* SpanName(Ev id) {
-  switch (id) {
-    case Ev::kRebStart:
-    case Ev::kRebDone:
-      return "rebalance";
-    case Ev::kScanBegin:
-    case Ev::kScanEnd:
-      return "scan";
-    default:
-      return TraceEventName(id);
-  }
-}
+constexpr EventInfo kEvents[] = {
+    {"none", 0, 'i', ""},
+#define KIWI_TRACE_ROW(id, name, hex, phase, span) {name, hex, phase, span},
+    KIWI_TRACE_EVENTS(KIWI_TRACE_ROW)
+#undef KIWI_TRACE_ROW
+};
+static_assert(std::size(kEvents) == kEventKindCount);
 
 void WriteArgsJson(std::FILE* out, const Event& e) {
-  const unsigned hex = ArgHexMask(static_cast<Ev>(e.id));
-  if (hex & kA0Hex) {
+  const unsigned hex = kEvents[e.id].hex;
+  if (hex & 1) {
     std::fprintf(out, "\"a0\":\"0x%llx\",", (unsigned long long)e.a0);
   } else {
     std::fprintf(out, "\"a0\":%llu,", (unsigned long long)e.a0);
   }
-  if (hex & kA1Hex) {
+  if (hex & 2) {
     std::fprintf(out, "\"a1\":\"0x%llx\"", (unsigned long long)e.a1);
   } else {
     std::fprintf(out, "\"a1\":%llu", (unsigned long long)e.a1);
@@ -243,39 +200,8 @@ void FatalHookImpl() {
 }  // namespace
 
 const char* TraceEventName(Ev id) {
-  switch (id) {
-    case Ev::kNone: return "none";
-    case Ev::kPutOp: return "put";
-    case Ev::kPutPpaPublish: return "put_ppa_publish";
-    case Ev::kPutRestart: return "put_restart";
-    case Ev::kPutHelped: return "put_helped";
-    case Ev::kGetOp: return "get";
-    case Ev::kScanBegin: return "scan_begin";
-    case Ev::kScanVersion: return "scan_version";
-    case Ev::kScanEnd: return "scan_end";
-    case Ev::kScanHelpInstall: return "scan_help_install";
-    case Ev::kSnapshotOpen: return "snapshot_open";
-    case Ev::kRebStart: return "reb_start";
-    case Ev::kRebEngage: return "reb_engage";
-    case Ev::kRebEngageAdopt: return "reb_engage_adopt";
-    case Ev::kRebFreeze: return "reb_freeze";
-    case Ev::kRebMinVersion: return "reb_min_version";
-    case Ev::kRebBuild: return "reb_build";
-    case Ev::kRebReplace: return "reb_replace";
-    case Ev::kRebIndex: return "reb_index";
-    case Ev::kRebNormalize: return "reb_normalize";
-    case Ev::kRebDone: return "reb_done";
-    case Ev::kChunkDiscard: return "chunk_discard";
-    case Ev::kEbrRetire: return "ebr_retire";
-    case Ev::kEbrEpoch: return "ebr_epoch";
-    case Ev::kEbrCollect: return "ebr_collect";
-    case Ev::kFatal: return "fatal";
-    case Ev::kBatchStart: return "batch_start";
-    case Ev::kBatchRun: return "batch_run";
-    case Ev::kBatchBulk: return "batch_bulk";
-    case Ev::kCount_: break;
-  }
-  return "?";
+  const auto index = static_cast<std::size_t>(id);
+  return index < kEventKindCount ? kEvents[index].name : "?";
 }
 
 std::size_t DumpTrace(std::FILE* out) {
@@ -298,34 +224,29 @@ std::size_t DumpTrace(std::FILE* out) {
   double last_ts[kMaxThreads] = {0};
 
   for (const Event& e : events) {
-    const Ev id = static_cast<Ev>(e.id);
+    const EventInfo& info = kEvents[e.id];
     const double ts = static_cast<double>(e.tsc - t0) / cycles_per_us;
     const std::uint32_t tid = e.tid < kMaxThreads ? e.tid : 0;
     last_ts[tid] = ts;
-    Phase phase = PhaseOf(id);
-    if (phase == Phase::kEnd) {
+    char phase = info.phase;
+    if (phase == 'E') {
       // Close only a matching open span; otherwise degrade to an instant
       // (its begin predates the ring's history).
-      if (!open[tid].empty() &&
-          std::strcmp(open[tid].back(), SpanName(id)) == 0) {
+      if (!open[tid].empty() && std::strcmp(open[tid].back(), info.span) == 0) {
         open[tid].pop_back();
       } else {
-        phase = Phase::kInstant;
+        phase = 'i';
       }
-    } else if (phase == Phase::kBegin) {
-      open[tid].push_back(SpanName(id));
+    } else if (phase == 'B') {
+      open[tid].push_back(info.span);
     }
     comma();
-    const char ph = phase == Phase::kBegin ? 'B'
-                    : phase == Phase::kEnd ? 'E'
-                                           : 'i';
     std::fprintf(out,
                  "{\"name\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,"
                  "\"pid\":%d,\"tid\":%u",
-                 phase == Phase::kInstant ? TraceEventName(id) : SpanName(id),
-                 ph, ts, pid, tid);
-    if (phase == Phase::kInstant) std::fprintf(out, ",\"s\":\"t\"");
-    std::fprintf(out, ",\"args\":{\"ev\":\"%s\",", TraceEventName(id));
+                 phase == 'i' ? info.name : info.span, phase, ts, pid, tid);
+    if (phase == 'i') std::fprintf(out, ",\"s\":\"t\"");
+    std::fprintf(out, ",\"args\":{\"ev\":\"%s\",", info.name);
     WriteArgsJson(out, e);
     std::fprintf(out, "}}");
   }
@@ -404,7 +325,7 @@ void DumpTailText(int fd, std::size_t max_events) {
     at += AppendStr(line + at, "c] t");
     at += AppendDec(line + at, e.tid);
     at += AppendStr(line + at, " ");
-    at += AppendStr(line + at, TraceEventName(static_cast<Ev>(e.id)));
+    at += AppendStr(line + at, kEvents[e.id].name);
     at += AppendStr(line + at, " a0=");
     at += AppendHex(line + at, e.a0);
     at += AppendStr(line + at, " a1=");

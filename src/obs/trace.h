@@ -47,6 +47,51 @@
 #define KIWI_TRACE_ENABLED 0
 #endif
 
+// Every flight-recorder event, one row each, in id order after Ev::kNone = 0
+// (append new rows at the end):  X(id, name, hex, phase, span)
+//   name   stable short name: the JSON export's args.ev and the post-mortem
+//          text; docs/OBSERVABILITY.md documents every one
+//   hex    arguments the JSON export renders as "0x..." pointer strings:
+//          bit 0 = a0, bit 1 = a1
+//   phase  'i' instant; 'B' / 'E' opens / closes the duration span `span`
+// Each row's comment names a0, a1.  Per-operation events are sampled with
+// the operation's latency timer unless their section marks them "always".
+#define KIWI_TRACE_EVENTS(X)                                                   \
+  /* ---- put path (put_restart, put_helped: always) ---------------------- */ \
+  X(kPutOp, "put", 0, 'i', "")                         /* key, value */        \
+  X(kPutPpaPublish, "put_ppa_publish", 0, 'i', "")     /* key, cell index */   \
+  X(kPutRestart, "put_restart", 2, 'i', "")            /* key, chunk */        \
+  X(kPutHelped, "put_helped", 0, 'i', "")              /* key, version */      \
+  /* ---- get / scan (scan_help_install, snapshot_open: always) ----------- */ \
+  X(kGetOp, "get", 0, 'i', "")                         /* key, 1 if hit */     \
+  X(kScanBegin, "scan_begin", 0, 'B', "scan")          /* from, to */          \
+  X(kScanVersion, "scan_version", 0, 'i', "")          /* version, helped */   \
+  X(kScanEnd, "scan_end", 0, 'E', "scan")              /* keys emitted, 0 */   \
+  X(kScanHelpInstall, "scan_help_install", 1, 'i', "") /* psa slot, version */ \
+  X(kSnapshotOpen, "snapshot_open", 0, 'i', "")        /* read point, 0 */     \
+  /* ---- rebalance (always); outcome: 1 splice win | 2 consensus win ----- */ \
+  X(kRebStart, "reb_start", 1, 'B', "rebalance")       /* chunk, #carried */   \
+  X(kRebEngage, "reb_engage", 3, 'i', "")              /* ro, last engaged */  \
+  X(kRebEngageAdopt, "reb_engage_adopt", 3, 'i', "")   /* own last, adopted */ \
+  X(kRebFreeze, "reb_freeze", 1, 'i', "")              /* ro, chunks frozen */ \
+  X(kRebMinVersion, "reb_min_version", 1, 'i', "")     /* ro, min version */   \
+  X(kRebBuild, "reb_build", 1, 'i', "")                /* ro, chunks built */  \
+  X(kRebReplace, "reb_replace", 1, 'i', "")            /* ro, outcome */       \
+  X(kRebIndex, "reb_index", 1, 'i', "")                /* ro, 0 */             \
+  X(kRebNormalize, "reb_normalize", 1, 'i', "")        /* ro, #normalized */   \
+  X(kRebDone, "reb_done", 1, 'E', "rebalance")         /* ro, outcome */       \
+  X(kChunkDiscard, "chunk_discard", 1, 'i', "")        /* chunk, 0 */          \
+  /* ---- reclamation (always) -------------------------------------------- */ \
+  X(kEbrRetire, "ebr_retire", 1, 'i', "")              /* object, epoch */     \
+  X(kEbrEpoch, "ebr_epoch", 0, 'i', "")                /* new epoch, 0 */      \
+  X(kEbrCollect, "ebr_collect", 0, 'i', "")            /* freed, pending */    \
+  /* ---- crash path ------------------------------------------------------ */ \
+  X(kFatal, "fatal", 0, 'i', "")                       /* line number, 0 */    \
+  /* ---- batch ingest (always); a run is named by its first key ---------- */ \
+  X(kBatchStart, "batch_start", 0, 'i', "")            /* submitted, kept */   \
+  X(kBatchRun, "batch_run", 0, 'i', "")                /* run, #per-op */      \
+  X(kBatchBulk, "batch_bulk", 0, 'i', "")              /* run, #built */
+
 #if KIWI_TRACE_ENABLED
 
 #include <atomic>
@@ -57,45 +102,14 @@
 
 namespace kiwi::obs::trace {
 
-/// Event identifiers.  The stable names (TraceEventName), not the numeric
-/// ids, are the trace JSON contract; append new ids before kCount_.
+/// Event identifiers, generated from KIWI_TRACE_EVENTS (above the
+/// KIWI_TRACE_ENABLED gate).  The stable names, not the numeric ids, are the
+/// trace JSON contract.
 enum class Ev : std::uint16_t {
   kNone = 0,
-  // ---- put path (sampled unless noted) ---------------------------------
-  kPutOp,           // a0=key, a1=value          (sampled instant)
-  kPutPpaPublish,   // a0=key, a1=cell index     (sampled)
-  kPutRestart,      // a0=key, a1=chunk ptr      (always: restarts are rare)
-  kPutHelped,       // a0=key, a1=version        (always: helping is rare)
-  // ---- get / scan -------------------------------------------------------
-  kGetOp,           // a0=key, a1=hit(1)/miss(0) (sampled instant)
-  kScanBegin,       // a0=from, a1=to            (sampled; begins a span)
-  kScanVersion,     // a0=read point, a1=own(0)/helped(1)  (sampled w/ begin)
-  kScanEnd,         // a0=keys emitted, a1=0     (sampled w/ begin)
-  kScanHelpInstall, // a0=psa slot, a1=version   (always: rebalance helped)
-  kSnapshotOpen,    // a0=read point, a1=0       (always)
-  // ---- rebalance stage transitions (always) -----------------------------
-  kRebStart,        // a0=trigger chunk, a1=#carried puts
-  kRebEngage,       // a0=ro, a1=last engaged chunk
-  kRebEngageAdopt,  // a0=our observed last, a1=adopted last (emitted only
-                    //   when another helper's consensus view won)
-  kRebFreeze,       // a0=ro, a1=chunks frozen
-  kRebMinVersion,   // a0=ro, a1=min version
-  kRebBuild,        // a0=ro, a1=chunks built
-  kRebReplace,      // a0=ro, a1=bit0 splice win | bit1 consensus win
-  kRebIndex,        // a0=ro, a1=0
-  kRebNormalize,    // a0=ro, a1=chunks normalized
-  kRebDone,         // a0=ro, a1=bit0 splice win | bit1 consensus win
-  kChunkDiscard,    // a0=chunk ptr, a1=0   (consensus-losing section)
-  // ---- reclamation (always) ---------------------------------------------
-  kEbrRetire,       // a0=object ptr, a1=epoch at retire
-  kEbrEpoch,        // a0=new epoch, a1=0
-  kEbrCollect,      // a0=objects freed, a1=still pending
-  // ---- crash path -------------------------------------------------------
-  kFatal,           // a0=line number, a1=0 (message goes to stderr)
-  // ---- batch ingest (always; appended in PR 7) --------------------------
-  kBatchStart,      // a0=entries submitted, a1=entries after dedup
-  kBatchRun,        // a0=first key of run, a1=#entries installed per-op
-  kBatchBulk,       // a0=first key of run, a1=#entries installed via build
+#define KIWI_TRACE_EV_ID(id, name, hex, phase, span) id,
+  KIWI_TRACE_EVENTS(KIWI_TRACE_EV_ID)
+#undef KIWI_TRACE_EV_ID
   kCount_,
 };
 
@@ -116,14 +130,9 @@ struct Event {
 };
 static_assert(sizeof(Event) == 32, "events are packed to 32 bytes");
 
-/// Ring capacity per thread, in events.  Must be a power of two.  8192
-/// events x 32 B = 256 KiB per thread; see docs/OBSERVABILITY.md for sizing
-/// guidance.  Override at configure time with -DKIWI_TRACE_RING_BITS=n.
-#ifndef KIWI_TRACE_RING_BITS
-#define KIWI_TRACE_RING_BITS 13
-#endif
-inline constexpr std::size_t kRingCapacity = std::size_t{1}
-                                             << KIWI_TRACE_RING_BITS;
+/// Ring capacity per thread, in events (a power of two).  8192 events x
+/// 32 B = 256 KiB per thread; see docs/OBSERVABILITY.md for sizing.
+inline constexpr std::size_t kRingCapacity = 8192;
 inline constexpr std::uint64_t kRingMask = kRingCapacity - 1;
 
 /// One thread's ring.  `head` counts events ever written; the slot written

@@ -50,7 +50,7 @@ void Ebr::Retire(void* object, Deleter deleter, std::size_t bytes) {
   // The object is already unreachable for new operations but guards may
   // still traverse it; a stall here stretches the window between logical
   // and physical retirement (grace-period + slab-recycling stress).
-  TestHooks::Run(TestHooks::ebr_before_retire);
+  TestHooks::Run(TestHooks::kEbrBeforeRetire);
   const std::size_t slot = ThreadRegistry::CurrentSlot();
   RetireBuffer& buffer = buffers_[slot];
   const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);

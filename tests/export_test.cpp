@@ -21,6 +21,7 @@
 #include "obs/census.h"
 #include "obs/export.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 
 namespace kiwi::core {
 namespace {
@@ -513,7 +514,7 @@ TEST(MetricsPump, WritePromServesTheLatestSample) {
 KiWiMap* g_teeth_map = nullptr;
 std::atomic<int> g_teeth_fires{0};
 
-void NestedPutHook() {
+void NestedPutHook(TestHooks::Site) {
   static thread_local bool inside = false;
   if (inside || g_teeth_map == nullptr) return;
   if (g_teeth_fires.fetch_add(1) != 0) return;  // nest only the first window
@@ -532,7 +533,7 @@ TEST(ContentionTeeth, StalledPublishWindowRecordsPpaPublishFail) {
   g_teeth_map = &map;
   g_teeth_fires.store(0);
   {
-    TestHooks::Scoped install(TestHooks::put_before_version_cas,
+    TestHooks::Scoped install(TestHooks::kPutBeforeVersionCas,
                               NestedPutHook);
     map.Put(3, 3);
   }
@@ -594,6 +595,44 @@ TEST(ObsDocs, EveryCounterAndGaugeIsDocumented) {
   KIWI_OBS_CENSUS_FIELDS(KIWI_OBS_CHECK_DOC)
   KIWI_OBS_CHECK_DOC(retries)
 #undef KIWI_OBS_CHECK_DOC
+}
+
+std::string ReadDoc(const char* name) {
+  std::ifstream doc(std::string(KIWI_SOURCE_DIR) + "/docs/" + name);
+  std::stringstream buffer;
+  buffer << doc.rdbuf();
+  return buffer.str();
+}
+
+// Every flight-recorder event, including the begin/end events exported as
+// the `args.ev` of a span, is named in the event schema table.
+TEST(ObsDocs, EveryTraceEventIsDocumented) {
+  const std::string text = ReadDoc("OBSERVABILITY.md");
+  ASSERT_FALSE(text.empty()) << "docs/OBSERVABILITY.md not found";
+#define KIWI_TRACE_CHECK_DOC(id, name, hex, phase, span) \
+  EXPECT_NE(text.find("`" name "`"), std::string::npos)  \
+      << name " missing from docs/OBSERVABILITY.md";
+  KIWI_TRACE_EVENTS(KIWI_TRACE_CHECK_DOC)
+#undef KIWI_TRACE_CHECK_DOC
+}
+
+// docs/TESTING.md maps every hook site as "| i | `name` |" and every mutant
+// as "| `name` | 0xN |", in the lists' order and bits.
+TEST(TestingDocs, EveryHookSiteAndMutantIsMapped) {
+  const std::string text = ReadDoc("TESTING.md");
+  ASSERT_FALSE(text.empty()) << "docs/TESTING.md not found";
+  for (std::size_t i = 0; i < TestHooks::kSiteCount; ++i) {
+    const std::string row = "| " + std::to_string(i) + " | `" +
+                            TestHooks::kSiteNames[i] + "` |";
+    EXPECT_NE(text.find(row), std::string::npos) << row;
+  }
+  for (std::size_t m = 0; m < TestHooks::kMutantCount; ++m) {
+    char mask[16];
+    std::snprintf(mask, sizeof(mask), "0x%x", 1u << m);
+    const std::string row = std::string("| `") + TestHooks::kMutantNames[m] +
+                            "` | " + mask + " |";
+    EXPECT_NE(text.find(row), std::string::npos) << row;
+  }
 }
 #endif
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -42,6 +43,41 @@ TEST(FuzzSchedule, ActiveMaskRestriction) {
   EXPECT_EQ(none.ActiveMask(), 0u);
   const Schedule same = s.WithActiveMask(~std::uint64_t{0});
   EXPECT_EQ(same.ActiveMask(), s.ActiveMask());
+}
+
+std::vector<TestHooks::Site> g_fired;
+void RecordSite(TestHooks::Site site) { g_fired.push_back(site); }
+
+// One hook installed at every site learns which site each Run fired.
+TEST(TestHooks, HookReceivesItsSite) {
+  std::deque<TestHooks::Scoped> installed;
+  for (std::size_t i = 0; i < TestHooks::kSiteCount; ++i) {
+    installed.emplace_back(static_cast<TestHooks::Site>(i), &RecordSite);
+  }
+  g_fired.clear();
+  std::vector<TestHooks::Site> expected;
+  for (std::size_t i = TestHooks::kSiteCount; i-- > 0;) {
+    expected.push_back(static_cast<TestHooks::Site>(i));
+    TestHooks::Run(expected.back());
+  }
+  EXPECT_EQ(g_fired, expected);
+}
+
+TEST(FuzzSchedule, EngineInstallsExactlyTheActiveSites) {
+  for (std::size_t active = 0; active < TestHooks::kSiteCount; ++active) {
+    Schedule schedule;
+    schedule.sites[active].action = SiteAction::kYield;
+    {
+      PerturbationEngine engine(schedule);
+      for (std::size_t i = 0; i < TestHooks::kSiteCount; ++i) {
+        EXPECT_EQ(TestHooks::hooks[i].load() != nullptr, i == active)
+            << "active site " << active << ", slot " << i;
+      }
+    }
+    for (const auto& hook : TestHooks::hooks) {
+      EXPECT_EQ(hook.load(), nullptr) << "engine left a hook installed";
+    }
+  }
 }
 
 TEST(FuzzHarness, CleanRoundsHaveNoViolations) {
@@ -156,7 +192,8 @@ TEST(FuzzHarness, DetectsEagerTombstonePurgeMutant) {
   // sweep missed the mutant in 1 of 10-20 runs of this budget; pinning a
   // 2 ms sleep at the stall site catches it in ~40% of seeds.  The clean
   // tree shows no violation under the same pin.
-  ASSERT_STREQ(TestHooks::AllSites()[3].name, "scan_before_version_install");
+  ASSERT_STREQ(TestHooks::SiteName(TestHooks::Site(3)),
+               "scan_before_version_install");
   RoundParams base;
   RoundParams::SiteOverride stall;
   stall.site = 3;
@@ -219,8 +256,8 @@ TEST(FuzzScenario, DetectsLastEngagedRaceMutant) {
 TEST(FuzzHarness, SkipGetHelpMutantObservableViaHelpingStats) {
   const auto helped_count = [](std::uint32_t mutant_mask) {
     TestHooks::ScopedMutants mutants(mutant_mask);
-    TestHooks::Scoped stall(TestHooks::put_before_version_cas,
-                            [] { std::this_thread::yield(); });
+    TestHooks::Scoped stall(TestHooks::kPutBeforeVersionCas,
+                            [](TestHooks::Site) { std::this_thread::yield(); });
     core::KiWiMap map;
     std::atomic<bool> stop{false};
     std::thread writer([&] {

@@ -14,7 +14,7 @@
 namespace kiwi::core {
 namespace {
 
-void YieldHook() { std::this_thread::yield(); }
+void YieldHook(TestHooks::Site) { std::this_thread::yield(); }
 
 // A scan of all `keys` keys while one writer sweeps them in rounds: every
 // key present, values non-increasing by key, at most one round apart.
@@ -33,7 +33,7 @@ void ExpectUntornScan(const std::vector<KiWiMap::Entry>& out, Key keys) {
 // consistent — through Scan, ScanFrom and a Snapshot's Scan alike.  The
 // helping path is asserted via the puts_helped stat.
 TEST(RaceInjection, ScansHelpStalledPuts) {
-  TestHooks::Scoped install(TestHooks::put_before_version_cas, YieldHook);
+  TestHooks::Scoped install(TestHooks::kPutBeforeVersionCas, YieldHook);
   constexpr Key kKeys = 64;
   KiWiConfig config;
   config.chunk_capacity = 128;
@@ -74,7 +74,7 @@ TEST(RaceInjection, ScansHelpStalledPuts) {
 // it (and may see it) or order itself before — never deadlock or misorder
 // with a later scan.  A Snapshot opened after a put returned reads it too.
 TEST(RaceInjection, GetsHelpStalledPuts) {
-  TestHooks::Scoped install(TestHooks::put_before_version_cas, YieldHook);
+  TestHooks::Scoped install(TestHooks::kPutBeforeVersionCas, YieldHook);
   KiWiMap map;
   std::atomic<bool> stop{false};
   std::atomic<Value> published{-1};
@@ -105,7 +105,7 @@ TEST(RaceInjection, GetsHelpStalledPuts) {
 // Widen freeze -> build: puts landing on frozen chunks must restart (not
 // lose data), reads must keep being served from the frozen chunk.
 TEST(RaceInjection, FrozenChunksServeReadsAndRestartPuts) {
-  TestHooks::Scoped install(TestHooks::rebalance_after_freeze, YieldHook);
+  TestHooks::Scoped install(TestHooks::kRebalanceAfterFreeze, YieldHook);
   KiWiConfig config;
   config.chunk_capacity = 16;  // constant rebalancing
   KiWiMap map(config);
@@ -134,7 +134,7 @@ TEST(RaceInjection, FrozenChunksServeReadsAndRestartPuts) {
 // Widen consensus -> splice: the window where old and replacement sections
 // coexist.  Concurrent readers must see exactly one copy of the data.
 TEST(RaceInjection, ReplaceWindowNeverDuplicatesData) {
-  TestHooks::Scoped install(TestHooks::replace_before_splice, YieldHook);
+  TestHooks::Scoped install(TestHooks::kReplaceBeforeSplice, YieldHook);
   KiWiConfig config;
   config.chunk_capacity = 32;
   KiWiMap map(config);
@@ -165,9 +165,9 @@ TEST(RaceInjection, ReplaceWindowNeverDuplicatesData) {
 
 // All three hooks at once under a mixed workload (belt and braces).
 TEST(RaceInjection, AllWindowsWidenedMixedWorkload) {
-  TestHooks::Scoped a(TestHooks::put_before_version_cas, YieldHook);
-  TestHooks::Scoped b(TestHooks::rebalance_after_freeze, YieldHook);
-  TestHooks::Scoped c(TestHooks::replace_before_splice, YieldHook);
+  TestHooks::Scoped a(TestHooks::kPutBeforeVersionCas, YieldHook);
+  TestHooks::Scoped b(TestHooks::kRebalanceAfterFreeze, YieldHook);
+  TestHooks::Scoped c(TestHooks::kReplaceBeforeSplice, YieldHook);
   KiWiConfig config;
   config.chunk_capacity = 24;
   KiWiMap map(config);
