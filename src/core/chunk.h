@@ -272,9 +272,11 @@ class alignas(kCacheLineSize) ChunkT {
     return reclaim::SlabPool::RoundedSize(SlabBytes(capacity, arena_capacity));
   }
 
-  /// Harvest every list cell plus every *versioned* PPA entry, sorted by
-  /// (key asc, version desc, valPtr desc) and deduplicated; used by
-  /// rebalance's build stage and by tests.
+  /// Append every list cell plus every *versioned* PPA entry to `out`,
+  /// sorted by (key asc, version desc, valPtr desc) and deduplicated; used
+  /// by rebalance's build stage and by tests.  Linear in the list: the list
+  /// is already in that order, so only the PPA items are sorted and then
+  /// merged in.
   void CollectItems(std::vector<Item>& out) const;
 
   /// Append versioned PPA entries with key in [from, *to] (`to` ==
@@ -631,6 +633,7 @@ void ChunkT<Layout>::CollectItems(std::vector<Item>& out) const {
   // clears between the passes must be caught by the list walk.  Every cell
   // of a chunk is at or above its min key, so this bound keeps them all.
   CollectPpaItems(out, MinKey(), nullptr, kMaxReadVersion);
+  const std::size_t list_begin = out.size();
   std::int32_t curr = k[0].next.load(std::memory_order_acquire);
   std::uint32_t steps = 0;
   while (curr != kNullIdx) {
@@ -641,9 +644,18 @@ void ChunkT<Layout>::CollectItems(std::vector<Item>& out) const {
     const std::int32_t val_ptr = cell.val_ptr.load(std::memory_order_acquire);
     out.push_back(Item{Layout::CellKeyView(a, cell.key), cell.version,
                        val_ptr, LoadValue(val_ptr)});
+    KIWI_DASSERT(out.size() == list_begin + 1 ||
+                     ItemBefore(out[out.size() - 2], out.back()),
+                 "cell list out of order");
     curr = cell.next.load(std::memory_order_acquire);
   }
-  std::sort(out.begin() + base, out.end(), ItemBefore);
+  // The list is already in ItemBefore order: a put links its cell at its
+  // place, and one that meets a linked {key, version} twin redirects the
+  // twin's val_ptr instead of linking.  So only the (at most kMaxThreads)
+  // PPA items need sorting, and one linear merge orders the whole harvest.
+  std::sort(out.begin() + base, out.begin() + list_begin, ItemBefore);
+  std::inplace_merge(out.begin() + base, out.begin() + list_begin, out.end(),
+                     ItemBefore);
   // Drop exact duplicates (a completed put appears in both the list and a
   // not-yet-cleared PPA slot) and {key, version} duplicates (the smaller
   // valPtr lost the overwrite race).

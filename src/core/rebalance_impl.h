@@ -29,7 +29,6 @@
 #pragma once
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 
 #include "common/assert.h"
@@ -400,7 +399,15 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
     -> BuiltSection {
   // Harvest the engaged sector.  Chunks hold ascending disjoint ranges and
   // CollectItems sorts within a chunk, so concatenation is globally sorted.
+  // Sized once: each chunk yields at most its allocated cells plus one item
+  // per PPA slot, and the carried puts are appended after them.
+  std::size_t bound = puts.size();
+  for (Chunk* c = ro->first;; c = c->Next()) {
+    bound += c->AllocatedCells() + kMaxThreads;
+    if (c == last) break;
+  }
   std::vector<Item> items;
+  items.reserve(bound);
   for (Chunk* c = ro->first;; c = c->Next()) {
     c->CollectItems(items);
     if (c == last) break;
@@ -417,8 +424,7 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
     const bool bounded = succ != nullptr;
     const KeyView range_to = bounded ? succ->MinKey() : KeyView{};
     const Version put_version = gv_.Load();
-    std::vector<Item> put_items;
-    put_items.reserve(puts.size());
+    const std::size_t harvested = items.size();
     for (const Item& put : puts) {
       if (Layout::KeyLess(put.key, range_from) ||
           (bounded && Layout::KeyLeq(range_to, put.key))) {
@@ -426,21 +432,15 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
       }
       // INT32_MAX as the value location: the carried put wins any
       // {key, version} tie against sector-internal data.
-      put_items.push_back(Item{put.key, put_version,
-                               std::numeric_limits<std::int32_t>::max(),
-                               put.value});
+      items.push_back(Item{put.key, put_version,
+                           std::numeric_limits<std::int32_t>::max(),
+                           put.value});
     }
-    if (!put_items.empty()) {
-      // `puts` is sorted with distinct keys, so put_items is too; one merge
-      // instead of a per-item insertion.
-      std::vector<Item> merged;
-      merged.reserve(items.size() + put_items.size());
-      std::merge(items.begin(), items.end(), put_items.begin(),
-                 put_items.end(), std::back_inserter(merged),
-                 Chunk::ItemBefore);
-      items.swap(merged);
-      puts_included = static_cast<std::uint32_t>(put_items.size());
-    }
+    // `puts` is sorted with distinct keys, so the appended items are too;
+    // one merge instead of a per-item insertion.
+    std::inplace_merge(items.begin(), items.begin() + harvested, items.end(),
+                       Chunk::ItemBefore);
+    puts_included = static_cast<std::uint32_t>(items.size() - harvested);
   }
 
   // Compact per key run.

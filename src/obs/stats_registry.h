@@ -1,12 +1,13 @@
 // Per-thread-sharded operation statistics for a KiWiMap.
 //
 // Counters live in cache-line-padded per-thread shards keyed off
-// ThreadRegistry::CurrentSlot() — the hot-path increment is one plain add to
-// a line no other thread writes (lock-free, no RMW) — and are summed over
-// all shards on read.  Latency histograms (histogram.h) are shared, reached
-// only on sampled operations: SampleTick() elects 1 in 2^kSampleShift
-// operations per thread, amortizing the two steady_clock reads a timing
-// needs (~20ns each) to well under a nanosecond per operation.
+// ThreadRegistry::CurrentSlot() — the hot-path increment is a relaxed load
+// and store of an atomic on a line no other thread writes (lock-free, no
+// RMW) — and are summed over all shards on read.  Latency histograms
+// (histogram.h) are shared, reached only on sampled operations: SampleTick()
+// elects 1 in 2^kSampleShift operations per thread, amortizing the two
+// steady_clock reads a timing needs (~20ns each) to well under a nanosecond
+// per operation.
 //
 // Compile-time gate: building with -DKIWI_NO_STATS (CMake -DKIWI_STATS=OFF)
 // sets KIWI_OBS_ENABLED to 0 and the KIWI_OBS_* hook macros expand to
@@ -16,6 +17,7 @@
 // directly); only the map wiring disappears.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -33,8 +35,9 @@
 namespace kiwi::obs {
 
 // Every OpCounters field, in the canonical (wire/JSON) order.  This single
-// list generates the struct fields, operator+=, the DebugReport JSON field
-// order, the metrics-pump delta/rate maps, and the Prometheus metric names
+// list generates the OpCounters fields, the per-thread ShardCounters atomics
+// and their Aggregate() sum, the DebugReport JSON field order, the
+// metrics-pump delta/rate maps, and the Prometheus metric names
 // (kiwi_<name>_total), so the schema cannot drift between them.  Append new
 // counters at the end of their section; docs/OBSERVABILITY.md's counter
 // table is pinned against this list by tests/export_test.cpp.
@@ -75,19 +78,12 @@ namespace kiwi::obs {
   X(splice_retries)     /* replace-stage splice loop re-iterations */       \
   X(index_cas_retries)  /* normalize-stage index PutConditional retries */
 
-/// Monotone operation counters.  One instance per thread shard; Aggregate()
-/// sums them.  Documented field-by-field in docs/OBSERVABILITY.md.
+/// Monotone operation counters: Aggregate()'s sum of the per-thread
+/// ShardCounters.  Documented field-by-field in docs/OBSERVABILITY.md.
 struct OpCounters {
 #define KIWI_OBS_DECLARE_FIELD(name) std::uint64_t name = 0;
   KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_DECLARE_FIELD)
 #undef KIWI_OBS_DECLARE_FIELD
-
-  OpCounters& operator+=(const OpCounters& other) {
-#define KIWI_OBS_ADD_FIELD(name) name += other.name;
-    KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_ADD_FIELD)
-#undef KIWI_OBS_ADD_FIELD
-    return *this;
-  }
 
   /// Every lost or retried CAS across the put, PPA, rebalance and index
   /// hot loops: the sum of the KIWI_OBS_RETRY_FIELDS counters.
@@ -106,6 +102,30 @@ struct OpCounters {
     KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_VISIT_FIELD)
 #undef KIWI_OBS_VISIT_FIELD
     visit("retries", Retries());
+  }
+};
+
+/// One thread's counter shard: the OpCounters fields as atomics, because
+/// Aggregate() (the metrics pump, DebugReport) reads them while their owner
+/// writes.  Only the owning thread writes a shard, so Add is a relaxed load
+/// plus a relaxed store, never a locked read-modify-write.
+struct ShardCounters {
+#define KIWI_OBS_DECLARE_FIELD(name) std::atomic<std::uint64_t> name{0};
+  KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_DECLARE_FIELD)
+#undef KIWI_OBS_DECLARE_FIELD
+
+  /// The owner's update of one of its own fields.
+  static void Add(std::atomic<std::uint64_t>& field, std::uint64_t n) {
+    field.store(field.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+  }
+
+  /// Adds a relaxed reading of every field to `total`.
+  void AddTo(OpCounters& total) const {
+#define KIWI_OBS_ADD_FIELD(name) \
+  total.name += name.load(std::memory_order_relaxed);
+    KIWI_OBS_COUNTER_FIELDS(KIWI_OBS_ADD_FIELD)
+#undef KIWI_OBS_ADD_FIELD
   }
 };
 
@@ -151,10 +171,9 @@ class StatsRegistry {
   /// operations per thread is timed.
   static constexpr unsigned kSampleShift = 6;
 
-  /// The calling thread's counter shard.  Increments need no atomics: the
-  /// shard is written by one thread and only read (relaxed, via Aggregate)
-  /// by others.
-  OpCounters& Local() {
+  /// The calling thread's counter shard.  Only this thread writes it
+  /// (ShardCounters::Add); others read it, relaxed, through Aggregate.
+  ShardCounters& Local() {
     return shards_[ThreadRegistry::CurrentSlot()].counters;
   }
 
@@ -162,7 +181,7 @@ class StatsRegistry {
   /// aggregation yields a value between two quiescent readings.
   OpCounters Aggregate() const {
     OpCounters total;
-    for (const Shard& shard : shards_) total += shard.counters;
+    for (const Shard& shard : shards_) shard.counters.AddTo(total);
     return total;
   }
 
@@ -181,7 +200,7 @@ class StatsRegistry {
 
  private:
   struct alignas(kCacheLineSize) Shard {
-    OpCounters counters;
+    ShardCounters counters;
     std::uint64_t sample_tick = 0;
   };
   Shard shards_[kMaxThreads];
@@ -222,9 +241,11 @@ class ScopedTimer {
 // dropped unevaluated).
 #if KIWI_OBS_ENABLED
 /// Add 1 / `n` to a counter field of the calling thread's shard.
-#define KIWI_OBS_INC(registry, field) ((registry).Local().field += 1)
-#define KIWI_OBS_ADD(registry, field, n) \
-  ((registry).Local().field += static_cast<std::uint64_t>(n))
+#define KIWI_OBS_INC(registry, field) \
+  ::kiwi::obs::ShardCounters::Add((registry).Local().field, 1)
+#define KIWI_OBS_ADD(registry, field, n)                      \
+  ::kiwi::obs::ShardCounters::Add((registry).Local().field, \
+                                  static_cast<std::uint64_t>(n))
 /// Unconditionally time the enclosing scope into `metric`.
 #define KIWI_OBS_TIMER(registry, metric, var) \
   ::kiwi::obs::ScopedTimer var(&(registry).Hist(metric))

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <deque>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/thread_registry.h"
@@ -282,6 +287,133 @@ TEST(ChunkHarvest, DuplicateKeyVersionKeepsLargerValPtr) {
   const auto latest = chunk.FindLatest(50, kMaxReadVersion);
   EXPECT_EQ(latest.value, 222);
   chunk.ppa[slot].store(Chunk::kPpaIdle);
+}
+
+// The harvest contract, for either layout.  A chunk left the way puts leave
+// it (a batched prefix, cells linked between and after its entries, and
+// versioned PPA slots in no key order) appends to `out`, after what `out`
+// already held, exactly the full sort plus {key, version} dedup of every
+// item it holds.  A harvest that appended the PPA items without merging
+// them into the list, or sorted what `out` held before, fails here.
+template <typename Layout, typename KeyOf, typename ValueOf>
+void ExpectHarvestIsSortedUnique(KeyOf key_of, ValueOf value_of) {
+  using C = ChunkT<Layout>;
+  using I = typename C::Item;
+  std::vector<I> batched;
+  for (const auto& [key, version] : std::vector<std::pair<int, Version>>{
+           {10, 2}, {20, 2}, {30, 3}, {30, 1}, {40, 2}, {50, 2}}) {
+    batched.push_back(I{key_of(key), version, 0, value_of(key)});
+  }
+  std::unique_ptr<C, decltype(&C::Destroy)> owner(
+      C::Create(TestPool(), Layout::MinUserKey(), 32, nullptr,
+                C::Status::kNormal, batched, Layout::kHasArena ? 2048 : 0),
+      &C::Destroy);
+  C& chunk = *owner;
+  std::vector<I> held;  // every item the chunk holds, list and PPA
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    held.push_back(batched[i]);
+    held.back().val_ptr = static_cast<std::int32_t>(i);
+  }
+
+  // Claims and fills the next cell and value slot, as a put does.
+  const auto fill = [&](int key, Version version, int value) {
+    const std::uint32_t i = chunk.k_counter.fetch_add(1);
+    const std::uint32_t j = chunk.v_counter.fetch_add(1);
+    const typename Layout::KeyView k = key_of(key);
+    const typename Layout::ValueView v = value_of(value);
+    if constexpr (Layout::kHasArena) {
+      std::uint32_t off = 0;
+      EXPECT_TRUE(chunk.ClaimArena(
+          static_cast<std::uint32_t>(k.size() + v.size()), &off));
+      std::memcpy(chunk.a + off, k.data(), k.size());
+      std::memcpy(chunk.a + off + k.size(), v.data(), v.size());
+      chunk.k[i].key = typename Layout::CellKey{
+          Layout::MakePrefix(k), off, static_cast<std::uint32_t>(k.size())};
+      chunk.v[j] = typename Layout::StoredValue{
+          static_cast<std::uint32_t>(off + k.size()),
+          static_cast<std::uint32_t>(v.size())};
+    } else {
+      chunk.k[i].key = k;
+      chunk.v[j] = v;
+    }
+    chunk.k[i].version = version;
+    chunk.k[i].val_ptr.store(static_cast<std::int32_t>(j));
+    held.push_back(I{k, version, static_cast<std::int32_t>(j), v});
+    return static_cast<std::int32_t>(i);
+  };
+  // Links a filled cell at its place in the list, as a put does.
+  const auto link = [&](std::int32_t cell) {
+    std::int32_t pred = C::kNullIdx;
+    std::int32_t succ = C::kNullIdx;
+    ASSERT_EQ(chunk.FindCellFrom(C::kNullIdx,
+                                 Layout::CellKeyView(chunk.a, chunk.k[cell].key),
+                                 chunk.k[cell].version, &pred, &succ),
+              C::kNullIdx);
+    chunk.k[cell].next.store(succ);
+    chunk.k[pred].next.store(cell);
+  };
+  const std::size_t slot = ThreadRegistry::CurrentSlot();
+  const auto publish = [&](std::size_t n, std::int32_t cell) {
+    chunk.ppa[(slot + n) % kMaxThreads].store(
+        C::PackPpa(chunk.k[cell].version, static_cast<std::uint32_t>(cell)));
+  };
+
+  // The linked suffix, interleaved with the prefix, linked out of order.
+  link(fill(45, 6, 45));
+  link(fill(15, 5, 15));
+  link(fill(60, 6, 60));
+  link(fill(30, 9, 30));
+  const std::int32_t linked_25 = fill(25, 5, 25);
+  link(linked_25);
+  // PPA slots in descending key order.
+  publish(0, fill(45, 11, 451));  // a newer version of a linked key
+  publish(1, fill(35, 7, 35));    // a key absent from the list
+  publish(2, linked_25);          // an exact duplicate of a linked cell
+  held.push_back(I{key_of(25), 5, chunk.k[linked_25].val_ptr.load(),
+                   value_of(25)});
+  publish(3, fill(20, 2, 201));   // ties {20, v2} with a larger val_ptr
+
+  std::vector<I> out{I{key_of(90), 1, 0, value_of(90)},
+                     I{key_of(80), 1, 1, value_of(80)}};
+  std::vector<I> expected = out;
+  std::sort(held.begin(), held.end(), C::ItemBefore);
+  held.erase(std::unique(held.begin(), held.end(),
+                         [](const I& a, const I& b) {
+                           return Layout::KeyEq(a.key, b.key) &&
+                                  a.version == b.version;
+                         }),
+             held.end());
+  expected.insert(expected.end(), held.begin(), held.end());
+  ASSERT_EQ(expected.size(), 2u + 13u);  // 6 batched, 5 linked, 2 PPA-only
+
+  chunk.CollectItems(out);
+  ASSERT_EQ(out.size(), expected.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].key, expected[i].key) << i;
+    EXPECT_EQ(out[i].version, expected[i].version) << i;
+    EXPECT_EQ(out[i].val_ptr, expected[i].val_ptr) << i;
+    EXPECT_EQ(out[i].value, expected[i].value) << i;
+  }
+}
+
+TEST(ChunkHarvest, Int64ListAndPpaHarvestLikeAFullSort) {
+  ExpectHarvestIsSortedUnique<Int64Layout>([](int key) { return Key{key}; },
+                                           [](int v) { return Value{v}; });
+}
+
+TEST(ChunkHarvest, PrefixTiedByteKeysHarvestLikeAFullSort) {
+  // One series: every key ties on the 8-byte prefix "series07", so each
+  // comparison falls through to the arena memcmp.
+  std::deque<std::string> bytes;
+  const auto key_of = [&](int key) {
+    bytes.push_back("series07" + std::string(6, '0') + std::to_string(key));
+    return std::string_view(bytes.back());
+  };
+  const auto value_of = [&](int value) {
+    bytes.push_back("v" + std::to_string(value));
+    return std::string_view(bytes.back());
+  };
+  ExpectHarvestIsSortedUnique<ByteLayout>(key_of, value_of);
 }
 
 TEST(ChunkGeometry, MemoryFootprintCoversTheCellArray) {

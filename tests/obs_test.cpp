@@ -239,9 +239,9 @@ TEST(StatsRegistry, AggregatesAcrossThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&registry, t] {
       for (int i = 0; i < 1000 * (t + 1); ++i) {
-        registry->Local().puts += 1;
+        obs::ShardCounters::Add(registry->Local().puts, 1);
       }
-      registry->Local().scan_keys += 7;
+      obs::ShardCounters::Add(registry->Local().scan_keys, 7);
     });
   }
   for (std::thread& t : threads) t.join();
