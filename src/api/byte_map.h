@@ -15,9 +15,13 @@
 // append-only byte arena carved from the tail of each chunk's slab.  Cells
 // stay fixed-width ({8-byte order-preserving prefix, offset, length}), so
 // the batched-prefix binary search and intra-chunk list walk remain
-// branch-light: comparisons resolve on the prefix and fall through to a
-// memcmp of the arena bytes only on a prefix tie (keys sharing their first
-// 8 bytes).
+// branch-light: comparisons resolve on the prefix and read the arena bytes
+// only on a prefix tie (keys sharing their first 8 bytes).  On a tie
+// between two keys of 16 bytes or more, bytes 8-15 compare as one
+// big-endian word, and a memcmp runs only past byte 16 when that word ties
+// too; shorter keys memcmp the bytes from offset 8.  A key that leads with
+// an 8-byte id and then an 8-byte big-endian number (a series id and a
+// timestamp, say) thus compares in registers.
 //
 // Key and value rules:
 //   * Keys are arbitrary non-empty byte strings, ordered lexicographically

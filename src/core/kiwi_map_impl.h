@@ -591,46 +591,49 @@ void KiWiMapT<Layout>::EmitChunkRange(
     ++*emitted;
   };
 
-  // Walk the in-chunk list, merging with the pending stream by key.
+  // Walk the in-chunk list, merging with the pending stream by key.  The
+  // list is sorted and a put links a cell only at its place, so the cells
+  // below `from` are passed once, here; in the loop each key costs one
+  // compare against `to` and one that ends its version run.
   const auto from_probe = Layout::MakeProbe(from);
-  typename Layout::Probe to_probe{};
-  if (to != nullptr) to_probe = Layout::MakeProbe(*to);
   std::int32_t curr =
       chunk->k[chunk->BatchedPredecessorProbe(from_probe)].next.load(
           std::memory_order_acquire);
+  while (curr != Chunk::kNullIdx &&
+         Layout::CompareCell(chunk->a, chunk->k[curr].key, from_probe) < 0) {
+    curr = chunk->k[curr].next.load(std::memory_order_acquire);
+  }
+  typename Layout::Probe to_probe{};
+  if (to != nullptr) to_probe = Layout::MakeProbe(*to);
   while (curr != Chunk::kNullIdx) {
-    const typename Chunk::Cell& cell = chunk->k[curr];
+    const typename Chunk::Cell* cell = &chunk->k[curr];
     if (to != nullptr &&
-        Layout::CompareCell(chunk->a, cell.key, to_probe) > 0) {
+        Layout::CompareCell(chunk->a, cell->key, to_probe) > 0) {
       break;
     }
-    if (Layout::CompareCell(chunk->a, cell.key, from_probe) < 0) {
-      curr = cell.next.load(std::memory_order_acquire);
-      continue;
-    }
-    const KeyView key = Layout::CellKeyView(chunk->a, cell.key);
+    const KeyView key = Layout::CellKeyView(chunk->a, cell->key);
     // Flush pending-only keys ordered before this one.
     while (pi < pending.size() && Layout::KeyLess(pending[pi].key, key)) {
       emit(pending[pi].key, pending_best(pi).value);
       pi = skip_pending_run(pi);
     }
     // List candidate: first version in this key's (descending) run at or
-    // below the read point.
+    // below the read point.  The run opens at `cell`; it ends at the first
+    // cell whose key differs, where the next iteration picks up.
     bool have_list = false;
     Item list_item{key, kNoVersion, Chunk::kNullIdx, ValueView{}};
     const auto key_probe = Layout::MakeProbe(key);
-    std::int32_t cursor = curr;
-    while (cursor != Chunk::kNullIdx) {
-      const typename Chunk::Cell& c = chunk->k[cursor];
-      if (Layout::CompareCell(chunk->a, c.key, key_probe) != 0) break;
-      if (!have_list && c.version <= read_point) {
-        const std::int32_t vp = c.val_ptr.load(std::memory_order_acquire);
-        list_item = Item{key, c.version, vp, chunk->LoadValue(vp)};
+    while (true) {
+      if (!have_list && cell->version <= read_point) {
+        const std::int32_t vp = cell->val_ptr.load(std::memory_order_acquire);
+        list_item = Item{key, cell->version, vp, chunk->LoadValue(vp)};
         have_list = true;
       }
-      cursor = c.next.load(std::memory_order_acquire);
+      curr = cell->next.load(std::memory_order_acquire);
+      if (curr == Chunk::kNullIdx) break;
+      cell = &chunk->k[curr];
+      if (Layout::CompareCell(chunk->a, cell->key, key_probe) != 0) break;
     }
-    curr = cursor;  // advanced past the whole key run
     // Combine with a same-key pending candidate, if any.
     if (pi < pending.size() && Layout::KeyEq(pending[pi].key, key)) {
       const Item p = pending_best(pi);

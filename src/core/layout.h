@@ -12,8 +12,8 @@
 //     fixed-width — a cell key is {8-byte normalized prefix, offset, length}
 //     and a stored value is {offset, length}, both pointing into a per-chunk
 //     append-only byte arena that lives at the tail of the chunk's slab.
-//     Comparisons resolve on the prefix first and fall through to a memcmp
-//     of the arena bytes only on a prefix tie.
+//     Comparisons resolve on the prefix first and read the arena bytes
+//     only on a prefix tie.
 //
 // The normalized prefix is the key's first 8 bytes, big-endian packed and
 // zero padded, so unsigned 64-bit compare order == lexicographic byte order
@@ -21,8 +21,10 @@
 //   * prefix(a) <  prefix(b)  =>  a < b            (decide without memcmp)
 //   * prefix(a) == prefix(b)  =>  a and b agree on their first
 //     min(|a|, |b|, 8) bytes  =>  if either is <= 8 bytes long, the shorter
-//     key is a prefix of the other and length decides; otherwise only the
-//     suffixes from byte 8 need a memcmp.
+//     key is a prefix of the other and length decides; otherwise the bytes
+//     from offset 8 decide.  When both keys hold 16 bytes or more, bytes
+//     8-15 compare as one big-endian word (the same packing as the prefix),
+//     and only a tie there leaves a memcmp of the bytes from offset 16.
 //
 // Key domain (ByteLayout): the empty string is reserved as the sentinel
 // chunk's min_key (it sorts before every user key, playing the role
@@ -154,15 +156,18 @@ struct ByteLayout {
     std::string_view key;
   };
 
+  /// The 8 bytes at `bytes` as a big-endian word, so unsigned order of two
+  /// words is the lexicographic order of their bytes.
+  static std::uint64_t LoadWord(const char* bytes) {
+    std::uint64_t raw;
+    std::memcpy(&raw, bytes, 8);
+    // The memcpy'd word only needs swapping on little-endian hosts.
+    if constexpr (std::endian::native == std::endian::big) return raw;
+    return __builtin_bswap64(raw);
+  }
+
   static std::uint64_t MakePrefix(KeyView key) {
-    if (key.size() >= 8) {
-      std::uint64_t raw;
-      std::memcpy(&raw, key.data(), 8);
-      // The prefix is the first 8 key bytes in big-endian order, so the
-      // memcpy'd word only needs swapping on little-endian hosts.
-      if constexpr (std::endian::native == std::endian::big) return raw;
-      return __builtin_bswap64(raw);
-    }
+    if (key.size() >= 8) return LoadWord(key.data());
     std::uint64_t prefix = 0;
     for (std::size_t i = 0; i < key.size(); ++i) {
       prefix |= static_cast<std::uint64_t>(
@@ -191,12 +196,22 @@ struct ByteLayout {
       return cell.prefix < probe.prefix ? -1 : 1;
     }
     // Prefix tie: the first min(|cell|, |probe|, 8) bytes agree, so when
-    // either side fits the prefix entirely, length decides; otherwise only
-    // the suffixes past byte 8 need the memcmp.
+    // either side fits the prefix entirely, length decides.  Otherwise
+    // bytes 8-15 compare as one word when both keys hold them, and a
+    // memcmp covers whatever common bytes remain.
     const std::size_t probe_len = probe.key.size();
-    if (cell.len > 8 && probe_len > 8) {
-      const std::size_t n = (cell.len < probe_len ? cell.len : probe_len) - 8;
-      const int c = std::memcmp(arena + cell.off + 8, probe.key.data() + 8, n);
+    const std::size_t common = cell.len < probe_len ? cell.len : probe_len;
+    const char* cell_bytes = arena + cell.off;
+    std::size_t done = 8;
+    if (common >= 16) {
+      const std::uint64_t x = LoadWord(cell_bytes + 8);
+      const std::uint64_t y = LoadWord(probe.key.data() + 8);
+      if (x != y) return x < y ? -1 : 1;
+      done = 16;
+    }
+    if (common > done) {
+      const int c = std::memcmp(cell_bytes + done, probe.key.data() + done,
+                                common - done);
       if (c != 0) return c < 0 ? -1 : 1;
     }
     if (cell.len == probe_len) return 0;

@@ -83,6 +83,12 @@ struct Int64Driver {
   void Scan(Key from, Key to, std::vector<KiWiMap::Entry>& out) {
     map.Scan(from, to, out);
   }
+  void ScanFrom(Key from, std::vector<KiWiMap::Entry>& out) {
+    out.clear();
+    map.ScanFrom(from, [&out](Key key, Value value) {
+      out.emplace_back(key, value);
+    });
+  }
   void PutBatch(const std::vector<KiWiMap::Entry>& batch) {
     map.PutBatch(batch);
   }
@@ -106,6 +112,13 @@ struct ByteDriver {
              [&out](std::string_view key, std::string_view value) {
                out.emplace_back(DecodeKey(key), DecodeValue(value));
              });
+  }
+  void ScanFrom(Key from, std::vector<KiWiMap::Entry>& out) {
+    out.clear();
+    map.ScanFrom(ByteKey(from),
+                 [&out](std::string_view key, std::string_view value) {
+                   out.emplace_back(DecodeKey(key), DecodeValue(value));
+                 });
   }
   void PutBatch(const std::vector<KiWiMap::Entry>& batch) {
     batch_buf.clear();
@@ -132,6 +145,7 @@ void Worker(Driver& map, Recorder& recorder, const RoundParams& params,
   const std::uint64_t kRemoveCut = kPutCut + params.remove_pct;
   const std::uint64_t kGetCut = kRemoveCut + params.get_pct;
   const std::uint64_t kBatchCut = kGetCut + params.batch_pct;
+  const std::uint64_t kScanFromCut = kBatchCut + params.scan_from_pct;
   for (std::uint32_t i = 0; i < params.ops_per_thread; ++i) {
     const std::uint64_t roll = rng.NextBounded(100);
     const Key key = 1 + static_cast<Key>(rng.NextBounded(params.keys));
@@ -192,6 +206,15 @@ void Worker(Driver& map, Recorder& recorder, const RoundParams& params,
         recorder.Record(thread, std::move(entry_op));
       }
       continue;
+    } else if (roll < kScanFromCut) {
+      // Every key the round can write is at most `keys`, so that bound
+      // makes the unbounded read checkable as a range scan.
+      op.kind = FuzzOp::Kind::kScan;
+      op.to_key = static_cast<Key>(params.keys);
+      op.invoke = recorder.Clock().Tick();
+      map.ScanFrom(op.key, scan_buf);
+      op.response = recorder.Clock().Tick();
+      op.scan_result.assign(scan_buf.begin(), scan_buf.end());
     } else {
       op.kind = FuzzOp::Kind::kScan;
       const std::uint64_t span = 1 + rng.NextBounded(kMaxScanSpan);
@@ -357,6 +380,7 @@ std::string ReproLine(const RoundParams& params) {
   }
   flag("batch-pct", params.batch_pct, defaults.batch_pct);
   flag("batch-max", params.max_batch, defaults.max_batch);
+  flag("scan-from-pct", params.scan_from_pct, defaults.scan_from_pct);
   if (params.byte_keys) out << " --bytes";
   if (params.site_mask != defaults.site_mask) {
     out << " --site-mask=0x" << std::hex << params.site_mask << std::dec;

@@ -38,9 +38,10 @@ struct RoundParams {
   /// arithmetically consistent across helpers), so a low cap over a sparse
   /// merge-heavy keyspace is what exercises the last_engaged consensus.
   std::uint32_t max_engaged_chunks = 8;
-  /// Op mix in percent; the remainder after put+remove+get+batch is the
-  /// scan share.  Remove-heavy mixes produce sparse chunks and therefore
-  /// chunk *merges* — required to exercise the multi-chunk engage consensus.
+  /// Op mix in percent; the remainder after put+remove+get+batch+scan_from
+  /// is the (bounded) scan share.  Remove-heavy mixes produce sparse chunks
+  /// and therefore chunk *merges* — required to exercise the multi-chunk
+  /// engage consensus.
   std::uint32_t put_pct = 35;
   std::uint32_t remove_pct = 15;
   std::uint32_t get_pct = 30;
@@ -53,11 +54,18 @@ struct RoundParams {
   /// the kiwi_fuzz driver and CI sweeps opt in via --batch-pct.
   std::uint32_t batch_pct = 0;
   std::uint32_t max_batch = 6;
+  /// ScanFrom share of the mix: unbounded scans from a drawn key, recorded
+  /// with the logical maximum key (`keys`) as their upper bound, so the
+  /// checker's cut layer applies unchanged.  Default 0 keeps legacy seeds'
+  /// op streams intact, as batch_pct does.
+  std::uint32_t scan_from_pct = 0;
   /// Run the round over KiWiByteMap instead of the int64 KiWiMap: logical
   /// keys map through an order-preserving byte codec whose keys all share
   /// one 8-byte prefix ("fuzzkey:") plus a fixed-width decimal and a
   /// variable-length suffix, so *every* key comparison falls through the
-  /// cell prefix to the arena memcmp — the byte layout's distinctive path.
+  /// cell prefix to the arena bytes — the byte layout's distinctive path
+  /// (keys run 14-18 bytes, so both the bytes 8-15 word compare and the
+  /// memcmp tie-break run).
   /// Values encode as 8-byte big-endian (embedded NULs included).  The
   /// recorded history and the checker stay in the logical int64 domain, so
   /// one checker covers both layouts.

@@ -89,10 +89,12 @@ void Usage(FILE* to) {
       "  --batch-pct=N       PutBatch share of the mix, carved out of the\n"
       "                      scan remainder (default 0: batches off)\n"
       "  --batch-max=N       max entries per fuzzed batch (default 6)\n"
+      "  --scan-from-pct=N   ScanFrom (unbounded scan) share of the mix,\n"
+      "                      carved out of the scan remainder (default 0)\n"
       "  --bytes             fuzz KiWiByteMap: keys go through an\n"
       "                      order-preserving byte codec sharing one 8-byte\n"
-      "                      prefix, so every comparison takes the arena\n"
-      "                      memcmp tie-break path (checker unchanged)\n"
+      "                      prefix, so every comparison reads the arena\n"
+      "                      bytes past it (checker unchanged)\n"
       "  --max-engaged=N     max chunks engaged per rebalance (default 8)\n"
       "  --site-mask=M       restrict perturbed hook sites (bitmask)\n"
       "  --force-site=I:A:P:N  pin site I to action A (yield|sleep|spin)\n"
@@ -214,6 +216,8 @@ int ParseArgs(int argc, char** argv, Options& opt) {
       }
     } else if (const char* s = value("--batch-pct=")) {
       if (!ParsePct(s, opt.params.batch_pct)) return 2;
+    } else if (const char* s = value("--scan-from-pct=")) {
+      if (!ParsePct(s, opt.params.scan_from_pct)) return 2;
     } else if (const char* s = value("--batch-max=")) {
       if (!ParseU64(s, v) || v == 0) return 2;
       opt.params.max_batch = static_cast<std::uint32_t>(v);
@@ -290,9 +294,11 @@ int ParseArgs(int argc, char** argv, Options& opt) {
   }
   const RoundParams& p = opt.params;
   const std::uint64_t shares = std::uint64_t{p.put_pct} + p.remove_pct +
-                               p.get_pct + p.batch_pct;
+                               p.get_pct + p.batch_pct + p.scan_from_pct;
   if (shares > 100) {
-    std::fprintf(stderr, "--mix and --batch-pct total %llu%% (max 100)\n",
+    std::fprintf(stderr,
+                 "--mix, --batch-pct and --scan-from-pct total %llu%% "
+                 "(max 100)\n",
                  static_cast<unsigned long long>(shares));
     return 2;
   }

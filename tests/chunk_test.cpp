@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -454,6 +455,61 @@ TEST(ByteChunkArena, MakePrefixOrderMatchesLexicographicOrder) {
       } else if (ta == tb) {
         EXPECT_EQ(ByteLayout::MakePrefix(a), ByteLayout::MakePrefix(b));
       }
+    }
+  }
+}
+
+TEST(ByteChunkArena, CompareCellHasTheSignOfStringCompare) {
+  // Keys that tie on their first 8 and first 16 bytes, so CompareCell goes
+  // past the prefix into the bytes 8-15 word and the memcmp of the rest.
+  // Each key is a cut of head + middle + tail at one of the lengths below,
+  // so shorter cuts are strict prefixes of longer ones.  The middles
+  // differ at both ends of bytes 8-15 in opposite directions, which only
+  // a big-endian word orders right; NUL and 0xff bytes sit at each end of
+  // every part.
+  const std::vector<std::string> heads = {
+      "ABCDEFGH", std::string(8, '\0'), std::string(8, '\xff')};
+  const std::vector<std::string> middles = {
+      "IJKLMNOP",
+      std::string("\0\xffKLMNOP", 8),
+      std::string("\xff\0KLMNOP", 8),
+      std::string("IJKLMNO\0", 8),
+      "IJKLMNO\xff",
+      std::string("\0IJKLMN\xff", 8),
+      std::string("\x80IJKLMN\x7f", 8),
+      std::string(8, '\0'),
+      std::string(8, '\xff')};
+  const std::vector<std::string> tails = {
+      "QRSTUVWX", std::string("\0QRSTUV\xff", 8), std::string(8, '\xff')};
+  std::set<std::string> key_set;
+  for (const std::string& head : heads) {
+    for (const std::string& middle : middles) {
+      for (const std::string& tail : tails) {
+        const std::string full = head + middle + tail;
+        for (const std::size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 24}) {
+          key_set.insert(full.substr(0, len));
+        }
+      }
+    }
+  }
+  // Every key lives in one arena, at its own offset, as a cell would.
+  std::string arena;
+  std::vector<std::pair<std::string, ByteLayout::CellKey>> cells;
+  for (const std::string& key : key_set) {
+    cells.emplace_back(
+        key, ByteLayout::CellKey{ByteLayout::MakePrefix(key),
+                                 static_cast<std::uint32_t>(arena.size()),
+                                 static_cast<std::uint32_t>(key.size())});
+    arena += key;
+  }
+  const auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const auto& [cell_key, cell] : cells) {
+    for (const std::string& probe_key : key_set) {
+      ASSERT_EQ(sign(ByteLayout::CompareCell(
+                    arena.data(), cell, ByteLayout::MakeProbe(probe_key))),
+                sign(cell_key.compare(probe_key)))
+          << "cell " << ::testing::PrintToString(cell_key) << " vs probe "
+          << ::testing::PrintToString(probe_key);
     }
   }
 }

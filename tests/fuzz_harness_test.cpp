@@ -111,7 +111,7 @@ TEST(FuzzHarness, CleanRoundsWithBatchOpsHaveNoViolations) {
 
 // The same sweep over KiWiByteMap: logical keys go through the fuzzer's
 // order-preserving byte codec (one shared 8-byte prefix, so every key
-// comparison takes the arena memcmp tie-break) and values through the
+// comparison reads the arena bytes past it) and values through the
 // 8-byte big-endian codec; the recorded history stays in the int64 domain,
 // so both checker layers apply verbatim.
 TEST(FuzzHarness, CleanByteKeyRoundsHaveNoViolations) {
@@ -121,6 +121,22 @@ TEST(FuzzHarness, CleanByteKeyRoundsHaveNoViolations) {
     params.seed = 201 + static_cast<std::uint64_t>(i);
     params.byte_keys = true;
     params.batch_pct = 10;
+    const RoundResult r = RunRound(params);
+    EXPECT_TRUE(r.ok) << "seed " << params.seed << ": " << r.message
+                      << "\nschedule: " << r.schedule;
+  }
+}
+
+// The same sweeps with unbounded scans in the mix, on both layouts: a
+// ScanFrom is recorded as a scan up to the largest key the round writes, so
+// the cut layer checks its whole tail of the map.
+TEST(FuzzHarness, CleanRoundsWithScanFromHaveNoViolations) {
+  const int rounds = ScaledIters(6);
+  for (int i = 0; i < rounds; ++i) {
+    RoundParams params;
+    params.seed = 301 + static_cast<std::uint64_t>(i);
+    params.scan_from_pct = 5;
+    params.byte_keys = i % 2 == 1;
     const RoundResult r = RunRound(params);
     EXPECT_TRUE(r.ok) << "seed " << params.seed << ": " << r.message
                       << "\nschedule: " << r.schedule;
@@ -168,6 +184,17 @@ TEST(FuzzHarness, DetectsSkipScanPublishMutantThroughBatchMix) {
   RoundParams base;
   base.batch_pct = 15;
   base.max_batch = 6;
+  const int used = SeedsUntilViolation(TestHooks::kSkipScanPublish, base,
+                                       ScaledIters(25));
+  EXPECT_GT(used, 0) << "mutant not detected within seed budget";
+}
+
+// Teeth through unbounded scans alone: with the whole scan share given to
+// ScanFrom, the scan-publish mutant must still surface, so the checker
+// reads ScanFrom results as it reads bounded ones.
+TEST(FuzzHarness, DetectsSkipScanPublishMutantThroughScanFrom) {
+  RoundParams base;
+  base.scan_from_pct = 100 - base.put_pct - base.remove_pct - base.get_pct;
   const int used = SeedsUntilViolation(TestHooks::kSkipScanPublish, base,
                                        ScaledIters(25));
   EXPECT_GT(used, 0) << "mutant not detected within seed budget";
@@ -297,6 +324,7 @@ TEST(FuzzHarness, ReproLineCarriesEveryNonDefaultField) {
   params.get_pct = 10;
   params.batch_pct = 15;
   params.max_batch = 9;
+  params.scan_from_pct = 5;
   params.byte_keys = true;
   params.site_mask = 0x5;
   params.mutants = TestHooks::kSkipGetHelp;
@@ -314,8 +342,8 @@ TEST(FuzzHarness, ReproLineCarriesEveryNonDefaultField) {
       "--seed=55",        "--threads=3",    "--ops=77",
       "--keys=21",        "--chunk-capacity=12", "--max-engaged=2",
       "--mix=40:20:10",   "--batch-pct=15", "--batch-max=9",
-      "--bytes",          "--site-mask=0x5", mutant_flag.str(),
-      "--force-site=2:sleep:50:7"};
+      "--scan-from-pct=5", "--bytes",       "--site-mask=0x5",
+      mutant_flag.str(),  "--force-site=2:sleep:50:7"};
   for (const std::string& flag : flags) {
     EXPECT_NE(line.find(" " + flag), std::string::npos)
         << flag << " missing from: " << line;

@@ -6,6 +6,7 @@
 // bulk-load constructor.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -21,11 +22,20 @@ namespace {
 
 using Entry = KiWiByteMap::Entry;
 
-// Key material mixing three shapes: short keys (prefix decides alone),
+/// Appends `v` as 8 big-endian bytes.
+void AppendBigEndian(std::string& out, std::uint64_t v) {
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>((v >> shift) & 0xff));
+  }
+}
+
+// Key material mixing five shapes: short keys (prefix decides alone),
 // long keys sharing an 8+ byte prefix (every comparison memcmps the arena),
-// and keys with embedded NULs / high bytes (memcmp order, not strcmp).
+// keys with embedded NULs / high bytes (memcmp order, not strcmp), medium
+// random keys, and time-series keys (a series id, then a timestamp) that
+// tie on their first 8 bytes and often on their first 16.
 std::string MakeKey(Xoshiro256& rng) {
-  switch (rng.NextBounded(4)) {
+  switch (rng.NextBounded(5)) {
     case 0:  // short: fits entirely in the cell prefix
       return std::string(1 + rng.NextBounded(7), 'a' + rng.NextBounded(4));
     case 1: {  // shared long prefix + short suffix: prefix always ties
@@ -40,9 +50,19 @@ std::string MakeKey(Xoshiro256& rng) {
       key += static_cast<char>(rng.NextBounded(256));
       return key;
     }
-    default: {  // medium random
+    case 3: {  // medium random
       std::string key(8 + rng.NextBounded(24), '\0');
       for (char& c : key) c = static_cast<char>('A' + rng.NextBounded(26));
+      return key;
+    }
+    default: {  // series id + timestamp, both 8-byte big-endian
+      // The timestamp varies in its first and last byte, so keys of one
+      // series differ at both ends of bytes 8-15, and the tail makes some
+      // keys extend others past byte 16.
+      std::string key;
+      AppendBigEndian(key, 0x5e71e5ULL * rng.NextBounded(3));
+      AppendBigEndian(key, (rng.NextBounded(4) << 56) | rng.NextBounded(16));
+      if (rng.NextBounded(4) == 0) key.append(1 + rng.NextBounded(2), 'x');
       return key;
     }
   }
