@@ -77,7 +77,10 @@
   /* Rebalance compaction drops a tombstone and everything older            \
      unconditionally — the paper's literal pseudocode, reverting DESIGN.md  \
      deviation 1 (can lose a value a pending scan still needs). */          \
-  X(kEagerTombstonePurge, "eager_tombstone_purge")
+  X(kEagerTombstonePurge, "eager_tombstone_purge")                          \
+  /* Rebalance's ComputeMinVersion skips the Snapshot slots, so compaction  \
+     may drop versions an open Snapshot view still reads. */                \
+  X(kSkipSnapshotPins, "skip_snapshot_pins")
 
 namespace kiwi {
 

@@ -1,63 +1,35 @@
 #include "common/thread_registry.h"
 
-#include <atomic>
-
 #include "common/assert.h"
 
 namespace kiwi {
 namespace {
 
-// One bit per slot; set = in use.  A single word would cap kMaxThreads at 64
-// which happens to be our limit, but we keep an array of flags for clarity
-// and to allow raising kMaxThreads.
-std::atomic<bool> g_slot_used[kMaxThreads];
-std::atomic<std::size_t> g_high_water{0};
+SlotAllocator<kMaxThreads> g_slots;
 
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-std::size_t AcquireSlot() {
-  for (std::size_t s = 0; s < kMaxThreads; ++s) {
-    bool expected = false;
-    if (g_slot_used[s].compare_exchange_strong(expected, true,
-                                               std::memory_order_acq_rel)) {
-      // Bump the high-water mark.
-      std::size_t hw = g_high_water.load(std::memory_order_relaxed);
-      while (hw < s + 1 && !g_high_water.compare_exchange_weak(
-                               hw, s + 1, std::memory_order_relaxed)) {
-      }
-      return s;
-    }
-  }
-  KIWI_ASSERT(false, "more than kMaxThreads concurrent threads");
-  return kNoSlot;
-}
-
-}  // namespace
-
+/// The thread's slot (kMaxThreads: none yet), released at thread exit.
 struct ThreadSlotReleaser {
-  std::size_t slot = kNoSlot;
+  std::size_t slot = kMaxThreads;
   ~ThreadSlotReleaser() {
-    if (slot != kNoSlot) ThreadRegistry::Release(slot);
+    if (slot < kMaxThreads) g_slots.Release(slot);
   }
 };
 
-namespace {
 thread_local ThreadSlotReleaser t_releaser;
+
 }  // namespace
 
 std::size_t ThreadRegistry::CurrentSlot() {
-  if (t_releaser.slot == kNoSlot) t_releaser.slot = AcquireSlot();
+  if (t_releaser.slot == kMaxThreads) {
+    t_releaser.slot = g_slots.Acquire();
+    KIWI_ASSERT(t_releaser.slot < kMaxThreads,
+                "more than kMaxThreads concurrent threads");
+  }
   return t_releaser.slot;
 }
 
-std::size_t ThreadRegistry::HighWater() {
-  return g_high_water.load(std::memory_order_acquire);
-}
+std::size_t ThreadRegistry::HighWater() { return g_slots.HighWater(); }
 
-bool ThreadRegistry::IsRegistered() { return t_releaser.slot != kNoSlot; }
-
-void ThreadRegistry::Release(std::size_t slot) {
-  g_slot_used[slot].store(false, std::memory_order_release);
-}
+bool ThreadRegistry::IsRegistered() { return t_releaser.slot < kMaxThreads; }
 
 }  // namespace kiwi

@@ -18,6 +18,44 @@
 
 namespace kiwi {
 
+/// Lowest-free-slot allocator over [0, N) with a high-water mark that only
+/// rises, so arrays indexed by slot are walked up to HighWater() instead of
+/// N: thread slots (the registry) and each map's Snapshot slots.  Release
+/// pairs with the next Acquire of the slot, handing over its state.
+template <std::size_t N>
+class SlotAllocator {
+ public:
+  /// Claim the lowest free slot, raising the high-water mark past it before
+  /// returning.  Returns N when all N slots are taken.
+  std::size_t Acquire() {
+    for (std::size_t s = 0; s < N; ++s) {
+      bool expected = false;
+      if (used_[s].compare_exchange_strong(expected, true,
+                                           std::memory_order_acq_rel)) {
+        std::size_t hw = high_water_.load(std::memory_order_relaxed);
+        while (hw < s + 1 && !high_water_.compare_exchange_weak(
+                                 hw, s + 1, std::memory_order_relaxed)) {
+        }
+        return s;
+      }
+    }
+    return N;
+  }
+
+  void Release(std::size_t slot) {
+    used_[slot].store(false, std::memory_order_release);
+  }
+
+  /// One past the highest slot ever claimed.
+  std::size_t HighWater() const {
+    return high_water_.load(std::memory_order_acquire);
+  }
+
+ private:
+  std::atomic<bool> used_[N]{};
+  std::atomic<std::size_t> high_water_{0};
+};
+
 class ThreadRegistry {
  public:
   /// The calling thread's slot, assigned on first use.  Aborts if more than
@@ -31,10 +69,6 @@ class ThreadRegistry {
 
   /// Test hook: true if the calling thread currently holds a slot.
   static bool IsRegistered();
-
- private:
-  friend struct ThreadSlotReleaser;
-  static void Release(std::size_t slot);
 };
 
 }  // namespace kiwi

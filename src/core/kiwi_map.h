@@ -40,6 +40,7 @@
 
 #include "common/config.h"
 #include "common/random.h"
+#include "common/thread_registry.h"
 #include "core/chunk.h"
 #include "core/policy.h"
 #include "core/rebalance_object.h"
@@ -154,9 +155,10 @@ class KiWiMapT {
   /// Keep scan-separated overwrites of any one key during a view's life
   /// well below chunk_capacity (docs/TESTING.md has both repros).
   ///
-  /// Thread safety: a Snapshot must be created and destroyed by the same
-  /// thread and used only by it; each thread may hold up to
-  /// kMaxSnapshotsPerThread simultaneously open snapshots per map.
+  /// Each open view owns one of the map's kMaxSnapshots slots, claimed on
+  /// open and released on destruction; one more open view aborts.  Any
+  /// thread may read through a view, concurrently with others, and destroy
+  /// it once no read through it is running.
   class Snapshot {
    public:
     explicit Snapshot(KiWiMapT& map);
@@ -178,14 +180,13 @@ class KiWiMapT {
 
    private:
     KiWiMapT& map_;
+    std::size_t slot_;  // this view's entry in map_.snapshot_pins_
     Version read_point_;
     std::uint64_t seq_;
-    std::size_t slot_;
-    std::size_t sub_slot_;
   };
 
-  /// Simultaneously open Snapshot views allowed per thread.
-  static constexpr std::size_t kMaxSnapshotsPerThread = 4;
+  /// Simultaneously open Snapshot views allowed per map.
+  static constexpr std::size_t kMaxSnapshots = 4 * kMaxThreads;
 
   /// Number of live keys — O(n), implemented as a full scan.
   std::size_t Size();
@@ -427,10 +428,11 @@ class KiWiMapT {
   index::ChunkIndexT<Layout> index_;
   GlobalVersion gv_;
   Psa psa_;
-  /// Snapshot views pin their read points here, separately from transient
-  /// scans, so a Scan on the same thread cannot clobber an open Snapshot's
-  /// pin.  One array per snapshot sub-slot; ComputeMinVersion consults all.
-  Psa snapshot_psa_[kMaxSnapshotsPerThread];
+  /// Snapshot views pin their read points here, apart from scans, each in
+  /// a slot it claims from snapshot_slots_ on open and releases on
+  /// destruction.  ComputeMinVersion walks psa_ and snapshot_pins_.
+  SlotAllocator<kMaxSnapshots> snapshot_slots_;
+  PsaT<PsaKey, kMaxSnapshots> snapshot_pins_;
   Chunk* sentinel_;  // permanent list head, never engaged
   /// Arena bytes per chunk (chunk_capacity * bytes.arena_bytes_per_cell for
   /// byte layouts, 0 for fixed-width) and the per-entry byte cap

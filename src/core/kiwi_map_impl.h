@@ -655,25 +655,16 @@ void KiWiMapT<Layout>::EmitChunkRange(
 
 template <typename Layout>
 KiWiMapT<Layout>::Snapshot::Snapshot(KiWiMapT& map)
-    : map_(map), slot_(ThreadRegistry::CurrentSlot()) {
-  // A scan's read-point acquisition over the full key range — the entry
-  // stays pinned until destruction so rebalance compaction preserves every
-  // version this view may read.  Snapshots use their own PSA arrays so
-  // concurrent scans by this thread cannot displace the pin; only this
-  // thread touches its sub-slots.
-  sub_slot_ = kMaxSnapshotsPerThread;
-  for (std::size_t i = 0; i < kMaxSnapshotsPerThread; ++i) {
-    if (map_.snapshot_psa_[i].Slot(slot_).Load().ver == kNoVersion) {
-      sub_slot_ = i;
-      break;
-    }
-  }
-  KIWI_ASSERT(sub_slot_ < kMaxSnapshotsPerThread,
-              "a thread may hold at most kMaxSnapshotsPerThread open "
-              "Snapshots per map");
-  const ReadPin pin = map_.AcquireReadPoint(
-      map_.snapshot_psa_[sub_slot_].Slot(slot_), Layout::PsaMin(),
-      Layout::PsaMax());
+    : map_(map), slot_(map.snapshot_slots_.Acquire()) {
+  // A scan's read-point acquisition over the full key range, in an entry
+  // this view owns: it stays pinned until destruction so rebalance
+  // compaction preserves every version this view may read.  The claim and
+  // its high-water bump precede the pending publish, so ComputeMinVersion's
+  // GV-before-PSA argument covers the slot.
+  KIWI_ASSERT(slot_ < kMaxSnapshots,
+              "more than kMaxSnapshots open Snapshots per map");
+  const ReadPin pin = map_.AcquireReadPoint(map_.snapshot_pins_.Slot(slot_),
+                                            Layout::PsaMin(), Layout::PsaMax());
   read_point_ = pin.version;
   seq_ = pin.seq;
   KIWI_OBS_INC(map_.obs_, snapshots);
@@ -682,9 +673,8 @@ KiWiMapT<Layout>::Snapshot::Snapshot(KiWiMapT& map)
 
 template <typename Layout>
 KiWiMapT<Layout>::Snapshot::~Snapshot() {
-  KIWI_ASSERT(ThreadRegistry::CurrentSlot() == slot_,
-              "snapshot released by a different thread");
-  map_.snapshot_psa_[sub_slot_].Slot(slot_).Clear(seq_);
+  map_.snapshot_pins_.Slot(slot_).Clear(seq_);
+  map_.snapshot_slots_.Release(slot_);
 }
 
 template <typename Layout>

@@ -316,27 +316,28 @@ Version KiWiMapT<Layout>::ComputeMinVersion(KeyView from, KeyView to_exclusive,
   };
   std::vector<PendingScan> to_help;
 
-  const std::size_t high_water = ThreadRegistry::HighWater();
-  // Transient scans and pinned Snapshot views are tracked in separate
-  // arrays with identical protocols: visit psa_, then each snapshot array.
-  for (std::size_t i = 0; i <= kMaxSnapshotsPerThread; ++i) {
-    Psa& array = i == 0 ? psa_ : snapshot_psa_[i - 1];
-    for (std::size_t t = 0; t < high_water; ++t) {
-      PsaEntry& entry = array.Slot(t);
-      const typename PsaEntry::VerSeq vs = entry.Load();
-      if (vs.ver == kNoVersion) continue;
-      // Byte layouts answer in the normalized-prefix domain — conservative
-      // (a spurious overlap only costs an extra help), never lossy.
-      if (!Layout::PsaOverlaps(from, bounded, to_exclusive, entry.From(),
-                               entry.To())) {
-        continue;
-      }
-      if (vs.ver == kPendingVersion) {
-        to_help.push_back(PendingScan{&entry, vs.seq});
-      } else {
-        min_version = std::min(min_version, vs.ver);
-      }
+  // One body for every PSA entry, over two ranges: the scans' up to the
+  // thread registry's high-water mark, then the Snapshot slots' up to theirs.
+  const auto visit = [&](PsaEntry& entry) {
+    const typename PsaEntry::VerSeq vs = entry.Load();
+    if (vs.ver == kNoVersion) return;
+    // Byte layouts answer in the normalized-prefix domain — conservative
+    // (a spurious overlap only costs an extra help), never lossy.
+    if (!Layout::PsaOverlaps(from, bounded, to_exclusive, entry.From(),
+                             entry.To())) {
+      return;
     }
+    if (vs.ver == kPendingVersion) {
+      to_help.push_back(PendingScan{&entry, vs.seq});
+    } else {
+      min_version = std::min(min_version, vs.ver);
+    }
+  };
+  const std::size_t threads = ThreadRegistry::HighWater();
+  for (std::size_t t = 0; t < threads; ++t) visit(psa_.Slot(t));
+  if (!TestHooks::MutantEnabled(TestHooks::kSkipSnapshotPins)) [[likely]] {
+    const std::size_t snapshots = snapshot_slots_.HighWater();
+    for (std::size_t s = 0; s < snapshots; ++s) visit(snapshot_pins_.Slot(s));
   }
 
   if (!to_help.empty()) {

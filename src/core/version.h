@@ -6,8 +6,8 @@
 // result in its PSA entry}, the PSA entry goes through a "pending" state (the
 // paper's `?`) that concurrent rebalances help resolve; a per-entry sequence
 // number defeats the ABA where a stalled rebalance would install a stale
-// version into a *later* scan by the same thread ("monotonically increasing
-// counters are used to prevent ABA races").
+// version into a *later* read point published in the same entry
+// ("monotonically increasing counters are used to prevent ABA races").
 //
 // The {version, sequence} pair is a single 16-byte atomic so the helping CAS
 // covers both fields (cmpxchg16b on x86-64; GCC routes through libatomic).
@@ -44,7 +44,9 @@ class GlobalVersion {
   PaddedAtomic<Version> value_{/*value=*/{1}};
 };
 
-/// One PSA slot.  Owned (published/cleared) by one thread; helped by any.
+/// One PSA slot.  Owned (published/cleared) by one holder at a time, a
+/// thread or a Snapshot view; helped by any.  Its sequence counter keeps
+/// rising across holders, so the ABA guard survives a change of owner.
 /// Templated on the published range-bound domain: the int64 map publishes
 /// exact keys, the byte map publishes normalized 8-byte key prefixes (see
 /// core/layout.h — prefix bounds are conservative but never lossy).
@@ -106,7 +108,7 @@ class PsaEntryT {
   std::atomic<VerSeq> ver_seq_{VerSeq{kNoVersion, 0}};
   std::atomic<PsaKey> from_{0};
   std::atomic<PsaKey> to_{0};
-  std::uint64_t next_seq_ = 1;  // owner-only
+  std::uint64_t next_seq_ = 1;  // holder-only; passed on with the slot
 };
 
 /// The fixed-width map's entry (and the VerSeq protocol tests').
@@ -115,19 +117,17 @@ using PsaEntry = PsaEntryT<Key>;
 /// True when the 16-byte PSA pair CAS is a native instruction.
 bool PsaPairIsLockFree();
 
-/// The global PSA: one padded entry per thread slot.
-template <typename PsaKey>
+/// A PSA: `N` padded entries, one per thread slot or per Snapshot slot.
+template <typename PsaKey, std::size_t N = kMaxThreads>
 class PsaT {
  public:
   using Entry = PsaEntryT<PsaKey>;
 
-  Entry& Slot(std::size_t thread_slot) { return entries_[thread_slot].value; }
-  const Entry& Slot(std::size_t thread_slot) const {
-    return entries_[thread_slot].value;
-  }
+  Entry& Slot(std::size_t slot) { return entries_[slot].value; }
+  const Entry& Slot(std::size_t slot) const { return entries_[slot].value; }
 
  private:
-  Padded<Entry> entries_[kMaxThreads];
+  Padded<Entry> entries_[N];
 };
 
 using Psa = PsaT<Key>;

@@ -77,6 +77,7 @@ Value DecodeValue(std::string_view value) {
 /// never sees byte strings.
 struct Int64Driver {
   KiWiMap& map;
+  std::optional<KiWiMap::Snapshot> snapshot{};  // the worker's open view
   void Put(Key key, Value value) { map.Put(key, value); }
   void Remove(Key key) { map.Remove(key); }
   std::optional<Value> Get(Key key) { return map.Get(key); }
@@ -92,12 +93,18 @@ struct Int64Driver {
   void PutBatch(const std::vector<KiWiMap::Entry>& batch) {
     map.PutBatch(batch);
   }
+  void OpenSnapshot() { snapshot.emplace(map); }
+  void SnapshotScan(Key from, Key to, std::vector<KiWiMap::Entry>& out) {
+    snapshot->Scan(from, to, out);
+  }
+  void CloseSnapshot() { snapshot.reset(); }
   void CheckInvariants() { map.CheckInvariants(); }
   std::string DebugReportText() { return map.DebugReport().ToText(); }
 };
 
 struct ByteDriver {
   api::KiWiByteMap& map;
+  std::optional<api::KiWiByteMap::Snapshot> snapshot{};
   std::vector<api::KiWiByteMap::Entry> batch_buf{};
   void Put(Key key, Value value) { map.Put(ByteKey(key), ByteValue(value)); }
   void Remove(Key key) { map.Remove(ByteKey(key)); }
@@ -106,19 +113,18 @@ struct ByteDriver {
     if (!got) return std::nullopt;
     return DecodeValue(*got);
   }
-  void Scan(Key from, Key to, std::vector<KiWiMap::Entry>& out) {
+  /// Clears `out` and returns a scan callback decoding into it.
+  static auto Collect(std::vector<KiWiMap::Entry>& out) {
     out.clear();
-    map.Scan(ByteKey(from), ByteKey(to),
-             [&out](std::string_view key, std::string_view value) {
-               out.emplace_back(DecodeKey(key), DecodeValue(value));
-             });
+    return [&out](std::string_view key, std::string_view value) {
+      out.emplace_back(DecodeKey(key), DecodeValue(value));
+    };
+  }
+  void Scan(Key from, Key to, std::vector<KiWiMap::Entry>& out) {
+    map.Scan(ByteKey(from), ByteKey(to), Collect(out));
   }
   void ScanFrom(Key from, std::vector<KiWiMap::Entry>& out) {
-    out.clear();
-    map.ScanFrom(ByteKey(from),
-                 [&out](std::string_view key, std::string_view value) {
-                   out.emplace_back(DecodeKey(key), DecodeValue(value));
-                 });
+    map.ScanFrom(ByteKey(from), Collect(out));
   }
   void PutBatch(const std::vector<KiWiMap::Entry>& batch) {
     batch_buf.clear();
@@ -128,6 +134,11 @@ struct ByteDriver {
     }
     map.PutBatch(batch_buf);
   }
+  void OpenSnapshot() { snapshot.emplace(map); }
+  void SnapshotScan(Key from, Key to, std::vector<KiWiMap::Entry>& out) {
+    snapshot->Scan(ByteKey(from), ByteKey(to), Collect(out));
+  }
+  void CloseSnapshot() { snapshot.reset(); }
   void CheckInvariants() { map.CheckInvariants(); }
   std::string DebugReportText() { return map.DebugReport().ToText(); }
 };
@@ -146,9 +157,41 @@ void Worker(Driver& map, Recorder& recorder, const RoundParams& params,
   const std::uint64_t kGetCut = kRemoveCut + params.get_pct;
   const std::uint64_t kBatchCut = kGetCut + params.batch_pct;
   const std::uint64_t kScanFromCut = kBatchCut + params.scan_from_pct;
+  const std::uint64_t kSnapshotCut = kScanFromCut + params.snapshot_pct;
+  // The open Snapshot op, if any: recorded over the open call's window and
+  // read, as two adjacent halves, at the close.  The view itself lives in
+  // the driver.
+  FuzzOp snapshot_op;
+  std::uint64_t snapshot_reads_left = 0;
+  bool snapshot_open = false;
+  const auto close_snapshot = [&] {
+    const Key mid =
+        snapshot_op.key + (snapshot_op.to_key - snapshot_op.key) / 2;
+    map.SnapshotScan(snapshot_op.key, mid, scan_buf);
+    snapshot_op.scan_result.assign(scan_buf.begin(), scan_buf.end());
+    map.SnapshotScan(mid + 1, snapshot_op.to_key, scan_buf);
+    snapshot_op.scan_result.insert(snapshot_op.scan_result.end(),
+                                   scan_buf.begin(), scan_buf.end());
+    map.CloseSnapshot();
+    recorder.Record(thread, std::move(snapshot_op));
+    snapshot_open = false;
+  };
   for (std::uint32_t i = 0; i < params.ops_per_thread; ++i) {
     const std::uint64_t roll = rng.NextBounded(100);
     const Key key = 1 + static_cast<Key>(rng.NextBounded(params.keys));
+    // A view stays open across its drawn number of this thread's reads and
+    // closes before any write of this thread: a writer overwriting keys
+    // under its own pin is the pinned-snapshot livelock (docs/TESTING.md).
+    if (snapshot_open) {
+      const bool read = (roll >= kRemoveCut && roll < kGetCut) ||
+                        (roll >= kBatchCut && roll < kScanFromCut) ||
+                        roll >= kSnapshotCut;
+      if (read && snapshot_reads_left > 0) {
+        --snapshot_reads_left;
+      } else {
+        close_snapshot();
+      }
+    }
     FuzzOp op;
     op.thread = thread;
     op.key = key;
@@ -215,6 +258,25 @@ void Worker(Driver& map, Recorder& recorder, const RoundParams& params,
       map.ScanFrom(op.key, scan_buf);
       op.response = recorder.Clock().Tick();
       op.scan_result.assign(scan_buf.begin(), scan_buf.end());
+    } else if (roll < kSnapshotCut) {
+      // Open a Snapshot; the close reads the drawn range through it as two
+      // adjacent halves.  The view's read point is taken inside the open
+      // call, so the halves' concatenation is one scan over the open's
+      // window: the per-key and cut layers hold both reads to one cut.
+      // Reading at the close, after the thread's other reads and the other
+      // threads' writes, leaves compaction time to drop what the view
+      // still needs were its pin ignored.
+      const std::uint64_t span = 1 + rng.NextBounded(kMaxScanSpan);
+      op.kind = FuzzOp::Kind::kScan;
+      op.to_key = std::min<Key>(key + static_cast<Key>(span) - 1,
+                                static_cast<Key>(params.keys));
+      op.invoke = recorder.Clock().Tick();
+      map.OpenSnapshot();
+      op.response = recorder.Clock().Tick();
+      snapshot_op = std::move(op);
+      snapshot_reads_left = rng.NextBounded(5);
+      snapshot_open = true;
+      continue;
     } else {
       op.kind = FuzzOp::Kind::kScan;
       const std::uint64_t span = 1 + rng.NextBounded(kMaxScanSpan);
@@ -227,6 +289,7 @@ void Worker(Driver& map, Recorder& recorder, const RoundParams& params,
     }
     recorder.Record(thread, std::move(op));
   }
+  if (snapshot_open) close_snapshot();
 }
 
 /// The layout-independent round body: spawn a per-thread Driver over the
@@ -381,6 +444,7 @@ std::string ReproLine(const RoundParams& params) {
   flag("batch-pct", params.batch_pct, defaults.batch_pct);
   flag("batch-max", params.max_batch, defaults.max_batch);
   flag("scan-from-pct", params.scan_from_pct, defaults.scan_from_pct);
+  flag("snapshot-pct", params.snapshot_pct, defaults.snapshot_pct);
   if (params.byte_keys) out << " --bytes";
   if (params.site_mask != defaults.site_mask) {
     out << " --site-mask=0x" << std::hex << params.site_mask << std::dec;

@@ -4,9 +4,9 @@
 //
 // One *round* = one fresh KiWiMap (small chunks so rebalance fires
 // constantly), preloaded keys, N worker threads running a random op mix
-// (put/get/remove/scan) under one seeded perturbation schedule, recording a
-// full history that CheckHistory() then validates.  Every written value is
-// globally unique so the checker's scan cut layer applies.
+// (put/get/remove/scan/snapshot) under one seeded perturbation schedule,
+// recording a full history that CheckHistory() then validates.  Every
+// written value is globally unique so the checker's scan cut layer applies.
 //
 // Replay: RoundParams + seed fully determine the schedule and every
 // thread's op stream; KIWI_FUZZ_SEED=<seed> re-runs one seed.
@@ -38,10 +38,10 @@ struct RoundParams {
   /// arithmetically consistent across helpers), so a low cap over a sparse
   /// merge-heavy keyspace is what exercises the last_engaged consensus.
   std::uint32_t max_engaged_chunks = 8;
-  /// Op mix in percent; the remainder after put+remove+get+batch+scan_from
-  /// is the (bounded) scan share.  Remove-heavy mixes produce sparse chunks
-  /// and therefore chunk *merges* — required to exercise the multi-chunk
-  /// engage consensus.
+  /// Op mix in percent; the remainder after
+  /// put+remove+get+batch+scan_from+snapshot is the (bounded) scan share.
+  /// Remove-heavy mixes produce sparse chunks and therefore chunk *merges* —
+  /// required to exercise the multi-chunk engage consensus.
   std::uint32_t put_pct = 35;
   std::uint32_t remove_pct = 15;
   std::uint32_t get_pct = 30;
@@ -59,6 +59,12 @@ struct RoundParams {
   /// checker's cut layer applies unchanged.  Default 0 keeps legacy seeds'
   /// op streams intact, as batch_pct does.
   std::uint32_t scan_from_pct = 0;
+  /// Snapshot share of the mix: each op opens a Snapshot, keeps it open
+  /// across the thread's next 0-4 reads and closes it before the thread's
+  /// next write.  The close reads a drawn range through the view as two
+  /// adjacent halves, recorded as one scan over the open call's window.
+  /// Default 0 keeps legacy seeds' op streams intact.
+  std::uint32_t snapshot_pct = 0;
   /// Run the round over KiWiByteMap instead of the int64 KiWiMap: logical
   /// keys map through an order-preserving byte codec whose keys all share
   /// one 8-byte prefix ("fuzzkey:") plus a fixed-width decimal and a

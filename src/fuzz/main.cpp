@@ -91,6 +91,9 @@ void Usage(FILE* to) {
       "  --batch-max=N       max entries per fuzzed batch (default 6)\n"
       "  --scan-from-pct=N   ScanFrom (unbounded scan) share of the mix,\n"
       "                      carved out of the scan remainder (default 0)\n"
+      "  --snapshot-pct=N    Snapshot share of the mix: open a view, read a\n"
+      "                      range through it in two halves, close it before\n"
+      "                      the thread's next write (default 0)\n"
       "  --bytes             fuzz KiWiByteMap: keys go through an\n"
       "                      order-preserving byte codec sharing one 8-byte\n"
       "                      prefix, so every comparison reads the arena\n"
@@ -218,6 +221,8 @@ int ParseArgs(int argc, char** argv, Options& opt) {
       if (!ParsePct(s, opt.params.batch_pct)) return 2;
     } else if (const char* s = value("--scan-from-pct=")) {
       if (!ParsePct(s, opt.params.scan_from_pct)) return 2;
+    } else if (const char* s = value("--snapshot-pct=")) {
+      if (!ParsePct(s, opt.params.snapshot_pct)) return 2;
     } else if (const char* s = value("--batch-max=")) {
       if (!ParseU64(s, v) || v == 0) return 2;
       opt.params.max_batch = static_cast<std::uint32_t>(v);
@@ -294,11 +299,12 @@ int ParseArgs(int argc, char** argv, Options& opt) {
   }
   const RoundParams& p = opt.params;
   const std::uint64_t shares = std::uint64_t{p.put_pct} + p.remove_pct +
-                               p.get_pct + p.batch_pct + p.scan_from_pct;
+                               p.get_pct + p.batch_pct + p.scan_from_pct +
+                               p.snapshot_pct;
   if (shares > 100) {
     std::fprintf(stderr,
-                 "--mix, --batch-pct and --scan-from-pct total %llu%% "
-                 "(max 100)\n",
+                 "--mix, --batch-pct, --scan-from-pct and --snapshot-pct "
+                 "total %llu%% (max 100)\n",
                  static_cast<unsigned long long>(shares));
     return 2;
   }

@@ -138,17 +138,20 @@ obs::DebugReport KiWiMapT<Layout>::DebugReport() {
 #endif
   // The census and gauges are computed from the live structure regardless
   // of the stats gate.  The chunk list is walked once, by Census(), which
-  // also sums the chunk slabs memory_bytes needs; the PSA walks look at
-  // every slot (64 loads — occupancy must count exited threads' leaks too).
+  // also sums the chunk slabs memory_bytes needs; the PSA walks run up to
+  // each slot allocator's high-water mark, past every slot ever claimed
+  // (exited threads' leaked entries too).
   report.census = Census();
-  for (std::size_t t = 0; t < kMaxThreads; ++t) {
-    if (psa_.Slot(t).Load().ver != kNoVersion) report.gauges.psa_active++;
-    for (const auto& array : snapshot_psa_) {
-      if (array.Slot(t).Load().ver != kNoVersion) {
-        report.gauges.snapshot_pins++;
-      }
+  const auto pinned = [](const auto& psa, std::size_t high_water) {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < high_water; ++i) {
+      n += psa.Slot(i).Load().ver != kNoVersion;
     }
-  }
+    return n;
+  };
+  report.gauges.psa_active = pinned(psa_, ThreadRegistry::HighWater());
+  report.gauges.snapshot_pins =
+      pinned(snapshot_pins_, snapshot_slots_.HighWater());
   report.gauges.ebr_pending = ebr_.PendingCount();
   report.gauges.ebr_pending_bytes = ebr_.PendingBytes();
   report.gauges.ebr_epoch = ebr_.GlobalEpoch();

@@ -126,6 +126,25 @@ TEST(ThreadRegistry, SlotsRecycledAfterExit) {
   EXPECT_EQ(first, second);  // the exited thread's slot is reused
 }
 
+// The allocator behind thread slots and Snapshot slots.
+TEST(SlotAllocator, ReusesLowestFreeReportsExhaustionHighWaterOnlyRises) {
+  SlotAllocator<3> slots;
+  EXPECT_EQ(slots.HighWater(), 0u);
+  EXPECT_EQ(slots.Acquire(), 0u);
+  EXPECT_EQ(slots.Acquire(), 1u);
+  EXPECT_EQ(slots.Acquire(), 2u);
+  EXPECT_EQ(slots.HighWater(), 3u);
+  EXPECT_EQ(slots.Acquire(), 3u) << "exhaustion returns N";
+  slots.Release(1);
+  slots.Release(2);
+  EXPECT_EQ(slots.Acquire(), 1u) << "the lowest free slot is reused";
+  slots.Release(0);
+  slots.Release(1);
+  EXPECT_EQ(slots.HighWater(), 3u) << "releases never lower the mark";
+  EXPECT_EQ(slots.Acquire(), 0u);
+  EXPECT_EQ(slots.HighWater(), 3u);
+}
+
 TEST(SpinBarrier, ReleasesAllParties) {
   constexpr int kThreads = 6;
   SpinBarrier barrier(kThreads);

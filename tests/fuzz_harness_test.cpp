@@ -143,6 +143,22 @@ TEST(FuzzHarness, CleanRoundsWithScanFromHaveNoViolations) {
   }
 }
 
+// Snapshot ops on both layouts: each view's two half reads are recorded as
+// one scan over the open call's window, so the cut layer holds them to the
+// view's one read point.
+TEST(FuzzHarness, CleanRoundsWithSnapshotOpsHaveNoViolations) {
+  const int rounds = ScaledIters(6);
+  for (int i = 0; i < rounds; ++i) {
+    RoundParams params;
+    params.seed = 401 + static_cast<std::uint64_t>(i);
+    params.snapshot_pct = 10;
+    params.byte_keys = i % 2 == 1;
+    const RoundResult r = RunRound(params);
+    EXPECT_TRUE(r.ok) << "seed " << params.seed << ": " << r.message
+                      << "\nschedule: " << r.schedule;
+  }
+}
+
 // Regression: the lazy chunk index can return an already-spliced-out chunk;
 // LocateChunk must not trust its dead next-chain (readers would miss every
 // put that completed in the replacement section).  Found by this fuzzer at
@@ -168,6 +184,19 @@ int SeedsUntilViolation(std::uint32_t mutants, const RoundParams& base,
     if (!RunRound(params).ok) return i + 1;
   }
   return -1;
+}
+
+/// A 2 ms sleep at 20% of site 3 (`scan_before_version_install`), where a
+/// scan stalls with its read point taken and no chunk read yet.
+RoundParams::SiteOverride ScanStall() {
+  EXPECT_STREQ(TestHooks::SiteName(TestHooks::Site(3)),
+               "scan_before_version_install");
+  RoundParams::SiteOverride stall;
+  stall.site = 3;
+  stall.config.action = SiteAction::kSleep;
+  stall.config.probability_pct = 20;
+  stall.config.intensity = 2000;
+  return stall;
 }
 
 TEST(FuzzHarness, DetectsSkipScanPublishMutant) {
@@ -202,10 +231,14 @@ TEST(FuzzHarness, DetectsSkipScanPublishMutantThroughScanFrom) {
 
 // Byte-key teeth: the scan-publish mutant must surface through the byte
 // driver too — proof the byte translation layer does not launder the
-// violation out of the recorded history.
+// violation out of the recorded history.  The mutant scan fires site 3
+// right after its unpublished fetch-and-increment; unpinned, TSAN builds
+// missed it within the budget in 7 of 15 runs, so the stall is pinned
+// there, as for eager_tombstone_purge below.
 TEST(FuzzHarness, DetectsSkipScanPublishMutantWithByteKeys) {
   RoundParams base;
   base.byte_keys = true;
+  base.forced_sites.push_back(ScanStall());
   const int used = SeedsUntilViolation(TestHooks::kSkipScanPublish, base,
                                        ScaledIters(25));
   EXPECT_GT(used, 0) << "mutant not detected within seed budget";
@@ -219,17 +252,22 @@ TEST(FuzzHarness, DetectsEagerTombstonePurgeMutant) {
   // sweep missed the mutant in 1 of 10-20 runs of this budget; pinning a
   // 2 ms sleep at the stall site catches it in ~40% of seeds.  The clean
   // tree shows no violation under the same pin.
-  ASSERT_STREQ(TestHooks::SiteName(TestHooks::Site(3)),
-               "scan_before_version_install");
   RoundParams base;
-  RoundParams::SiteOverride stall;
-  stall.site = 3;
-  stall.config.action = SiteAction::kSleep;
-  stall.config.probability_pct = 20;
-  stall.config.intensity = 2000;
-  base.forced_sites.push_back(stall);
+  base.forced_sites.push_back(ScanStall());
   const int used = SeedsUntilViolation(TestHooks::kEagerTombstonePurge, base,
                                        ScaledIters(150));
+  EXPECT_GT(used, 0) << "mutant not detected within seed budget";
+}
+
+// Snapshot teeth: with ComputeMinVersion skipping the Snapshot slots,
+// compaction drops versions an open view still reads, and the view's
+// reads at the close no longer fit its open window.  Caught in about 1 in
+// 8 seeds, so the budget is wider than the scan mutants'.
+TEST(FuzzHarness, DetectsSkipSnapshotPinsMutant) {
+  RoundParams base;
+  base.snapshot_pct = 10;
+  const int used = SeedsUntilViolation(TestHooks::kSkipSnapshotPins, base,
+                                       ScaledIters(100));
   EXPECT_GT(used, 0) << "mutant not detected within seed budget";
 }
 
@@ -325,6 +363,7 @@ TEST(FuzzHarness, ReproLineCarriesEveryNonDefaultField) {
   params.batch_pct = 15;
   params.max_batch = 9;
   params.scan_from_pct = 5;
+  params.snapshot_pct = 7;
   params.byte_keys = true;
   params.site_mask = 0x5;
   params.mutants = TestHooks::kSkipGetHelp;
@@ -342,7 +381,7 @@ TEST(FuzzHarness, ReproLineCarriesEveryNonDefaultField) {
       "--seed=55",        "--threads=3",    "--ops=77",
       "--keys=21",        "--chunk-capacity=12", "--max-engaged=2",
       "--mix=40:20:10",   "--batch-pct=15", "--batch-max=9",
-      "--scan-from-pct=5", "--bytes",       "--site-mask=0x5",
+      "--scan-from-pct=5", "--snapshot-pct=7", "--bytes", "--site-mask=0x5",
       mutant_flag.str(),  "--force-site=2:sleep:50:7"};
   for (const std::string& flag : flags) {
     EXPECT_NE(line.find(" " + flag), std::string::npos)

@@ -1,6 +1,7 @@
 // Tests for the Snapshot view extension: multiple queries at one pinned
 // read point, isolation from concurrent writers, interplay with rebalance
-// compaction (a pinned version must block version eviction).
+// compaction (a pinned version must block version eviction), and the
+// map-level snapshot slots a view owns whichever thread opened it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,16 @@
 #include "core/kiwi_map.h"
 
 namespace kiwi::core {
+
+// Friend of KiWiMap (declared in kiwi_map.h): the snapshot-slot allocator's
+// high-water mark, one past the highest slot any view has claimed.
+class KiWiTestPeer {
+ public:
+  static std::size_t SnapshotHighWater(const KiWiMap& map) {
+    return map.snapshot_slots_.HighWater();
+  }
+};
+
 namespace {
 
 TEST(KiWiSnapshot, SeesStateAtCreation) {
@@ -140,35 +151,74 @@ TEST(KiWiSnapshot, ScansDoNotDisplaceAnOpenSnapshot) {
 }
 
 TEST(KiWiSnapshot, UpToLimitSnapshotsPerThread) {
+  // One thread may hold every one of the map's snapshot slots; each view
+  // sees the state at its own creation.
   KiWiMap map;
   map.Put(1, 10);
-  // Each additional snapshot sees the state at its own creation.
   std::vector<std::unique_ptr<KiWiMap::Snapshot>> open;
-  for (std::size_t i = 0; i < KiWiMap::kMaxSnapshotsPerThread; ++i) {
+  for (std::size_t i = 0; i < KiWiMap::kMaxSnapshots; ++i) {
     open.push_back(std::make_unique<KiWiMap::Snapshot>(map));
     map.Put(1, 10 + static_cast<Value>(i) + 1);
   }
+  map.CompactAll();  // every view's version is pinned
   for (std::size_t i = 0; i < open.size(); ++i) {
-    EXPECT_EQ(open[i]->Get(1).value_or(-1),
-              10 + static_cast<Value>(i));
+    ASSERT_EQ(open[i]->Get(1).value_or(-1), 10 + static_cast<Value>(i))
+        << "view " << i;
   }
-  // Releasing one frees its sub-slot for reuse.
+  // Releasing one frees its slot for reuse.
   open.pop_back();
   KiWiMap::Snapshot fresh(map);
   EXPECT_EQ(fresh.Get(1).value_or(-1),
-            10 + static_cast<Value>(KiWiMap::kMaxSnapshotsPerThread));
+            10 + static_cast<Value>(KiWiMap::kMaxSnapshots));
+  EXPECT_EQ(KiWiTestPeer::SnapshotHighWater(map), KiWiMap::kMaxSnapshots);
 }
 
 TEST(KiWiSnapshotDeathTest, ExceedingSnapshotLimitAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   KiWiMap map;
   map.Put(1, 10);
+  // The limit is the map's, not a thread's: views opened on another thread
+  // count against it too.
   std::vector<std::unique_ptr<KiWiMap::Snapshot>> open;
-  for (std::size_t i = 0; i < KiWiMap::kMaxSnapshotsPerThread; ++i) {
+  std::thread([&] {
+    for (std::size_t i = 0; i < KiWiMap::kMaxSnapshots / 2; ++i) {
+      open.push_back(std::make_unique<KiWiMap::Snapshot>(map));
+    }
+  }).join();
+  while (open.size() < KiWiMap::kMaxSnapshots) {
     open.push_back(std::make_unique<KiWiMap::Snapshot>(map));
   }
   EXPECT_DEATH({ KiWiMap::Snapshot one_too_many(map); },
-               "kMaxSnapshotsPerThread");
+               "more than kMaxSnapshots open Snapshots per map");
+}
+
+TEST(KiWiSnapshot, ViewOutlivesTheThreadThatOpenedIt) {
+  // A view is opened on one thread, read after a full compaction and
+  // destroyed on another; its slot then goes to the next view.
+  KiWiMap map(KiWiConfig{.chunk_capacity = 32});
+  for (Key k = 0; k < 200; ++k) map.Put(k, 1);
+  std::unique_ptr<KiWiMap::Snapshot> view;
+  std::thread([&] { view = std::make_unique<KiWiMap::Snapshot>(map); })
+      .join();
+  for (Key k = 0; k < 200; ++k) map.Put(k, 2);
+  map.CompactAll();  // would evict version 1 were the pin lost at exit
+  std::thread([&] {
+    std::vector<KiWiMap::Entry> out;
+    EXPECT_EQ(view->Scan(0, 199, out), 200u);
+    for (const auto& [k, v] : out) {
+      ASSERT_EQ(v, 1) << "compaction evicted a pinned version at key " << k;
+    }
+    EXPECT_EQ(view->Get(0).value_or(-1), 1);
+    view.reset();
+  }).join();
+  EXPECT_EQ(map.DebugReport().gauges.snapshot_pins, 0u);
+  KiWiMap::Snapshot next(map);
+  EXPECT_EQ(KiWiTestPeer::SnapshotHighWater(map), 1u)
+      << "the released slot was not reused";
+  EXPECT_EQ(next.Get(0).value_or(-1), 2);
+  map.CompactAll();
+  map.CheckInvariants();
+  EXPECT_EQ(map.Get(199).value_or(-1), 2);
 }
 
 TEST(KiWiSnapshot, PerThreadSnapshotsCoexist) {

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_registry.h"
 #include "core/version.h"
 
 namespace kiwi::core {
@@ -127,6 +128,37 @@ TEST(PsaArray, SlotsIndependent) {
   EXPECT_EQ(psa.Slot(1).Load().ver, 12u);
   psa.Slot(0).Clear(seq0);
   psa.Slot(1).Clear(seq1);
+}
+
+// A Snapshot slot passes from holder to holder, but its entry's sequence
+// counter does not restart: a helper that read the previous holder's
+// pending entry and stalled cannot install into the next holder's.
+TEST(PsaArray, StaleHelperCannotTouchReclaimedSlot) {
+  SlotAllocator<4> slots;
+  PsaT<Key, 4> psa;
+  std::size_t first_slot = 0;
+  std::uint64_t stale_seq = 0;
+  std::thread([&] {
+    first_slot = slots.Acquire();
+    PsaEntry& entry = psa.Slot(first_slot);
+    const std::uint64_t seq = entry.PublishPending(0, 10);
+    stale_seq = entry.Load().seq;  // what the helper read before stalling
+    EXPECT_EQ(entry.InstallOwn(seq, 5), 5u);
+    entry.Clear(seq);
+    slots.Release(first_slot);
+  }).join();
+  std::thread([&] {
+    const std::size_t slot = slots.Acquire();
+    ASSERT_EQ(slot, first_slot);
+    PsaEntry& entry = psa.Slot(slot);
+    const std::uint64_t seq = entry.PublishPending(0, 10);
+    EXPECT_GT(seq, stale_seq);
+    EXPECT_FALSE(entry.HelpInstall(stale_seq, 3));
+    EXPECT_EQ(entry.Load().ver, kPendingVersion);
+    EXPECT_EQ(entry.InstallOwn(seq, 6), 6u);
+    entry.Clear(seq);
+    slots.Release(slot);
+  }).join();
 }
 
 TEST(PsaEntry, LockFreedomReported) {
