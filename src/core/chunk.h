@@ -12,11 +12,8 @@
 // later insertions link new cells into the list via bypasses, so searches are
 // binary over the prefix + linear over the remainder.
 //
-// Each chunk carries a Pending Put Array (PPA) with one slot per thread.  A
-// put publishes the cell it is inserting there *before* acquiring a version,
-// which lets scans/gets help assign versions (§3.2) and lets rebalance freeze
-// the chunk (§3.3.2 stage 2).  Slot state is a single 64-bit word packing
-// {version:48, cellIdx:16} so the helping CAS covers both fields.
+// Each chunk also carries a pending put array (PendingPuts below), the put
+// side of the version protocol (§3.2) and of rebalance's freeze (§3.3.2).
 //
 // The chunk is templated on a key/value Layout (core/layout.h).  For
 // Int64Layout cells hold the key and `v` slots hold the value directly; for
@@ -50,6 +47,113 @@ namespace kiwi::core {
 template <typename Layout>
 class KiWiMapT;
 
+/// The pending put array (Algorithm 1's `ppa[NUM_THREADS]`): one word per
+/// thread slot packing {version:48, cell:16}, so one CAS covers the pair.
+/// A slot goes idle {⊥, none} -> Publish -> pending {⊥, i} -> TakeVersion or
+/// a reader's Help -> versioned {v, i} -> Clear -> idle.  Freeze turns every
+/// ⊥ slot, idle or pending, frozen for good, so its owner's next Publish or
+/// TakeVersion fails; it leaves versioned slots to the harvest.  Every load,
+/// CAS and store is seq_cst: the PPA-before-list read order (FindLatest) and
+/// the freeze-vs-publish race rest on one total order over these words.
+///
+/// Gets and helpers walk the slots below ThreadRegistry::HighWater(), which
+/// a thread raises before its first publish; a put published after a read
+/// began orders after it.  Freeze and CollectPpaItems walk all kMaxThreads
+/// slots, so neither leans on that mark: a freeze reaches every ⊥ slot and
+/// the harvest every versioned one.
+class PendingPuts {
+ public:
+  /// The cell field's "none"; a chunk's cells must index below it.
+  static constexpr std::uint32_t kNoCell = 0xFFFF;
+
+  PendingPuts() {
+    for (auto& word : words_) word.store(kIdle, std::memory_order_relaxed);
+  }
+
+  /// Line 13: the owner announces `cell`.  A CAS from idle, so it fails on
+  /// a frozen slot (line 14's check folded in).
+  bool Publish(std::size_t slot, std::uint32_t cell) {
+    Word idle = kIdle;
+    return words_[slot].compare_exchange_strong(idle, Pack(kBottom, cell),
+                                                std::memory_order_seq_cst);
+  }
+
+  /// Lines 14-16: CAS `gv` into the owner's pending slot, then adopt what
+  /// the slot holds.  Returns kNoVersion if a freeze won; *helped reports a
+  /// version another thread installed.
+  Version TakeVersion(std::size_t slot, std::uint32_t cell, Version gv,
+                      bool* helped) {
+    Word word = Pack(kBottom, cell);
+    const bool own = words_[slot].compare_exchange_strong(
+        word, Pack(gv, cell), std::memory_order_seq_cst);
+    *helped = !own && VersionOf(word) != kFrozen;
+    return own ? gv : *helped ? VersionOf(word) : kNoVersion;
+  }
+
+  /// Line 26: the owner's entry is linked; its slot goes idle.
+  void Clear(std::size_t slot) {
+    words_[slot].store(kIdle, std::memory_order_seq_cst);
+  }
+
+  /// Lines 41-46: install GV, loaded anew for each, into every pending slot
+  /// whose cell `accepts`.  A lost CAS means the owner or another helper
+  /// versioned the slot, or a freeze won: all fine.
+  template <typename Accepts>
+  void Help(GlobalVersion& gv, const Accepts& accepts) {
+    const std::size_t high_water = ThreadRegistry::HighWater();
+    for (std::size_t t = 0; t < high_water; ++t) {
+      Word word = words_[t].load(std::memory_order_seq_cst);
+      if (VersionOf(word) == kBottom && CellOf(word) != kNoCell &&
+          accepts(CellOf(word))) {
+        words_[t].compare_exchange_strong(
+            word, Pack(gv.Load(), CellOf(word)), std::memory_order_seq_cst);
+      }
+    }
+  }
+
+  /// Algorithm 4 stage 2: freeze every ⊥ slot.  Returns the CAS attempts
+  /// lost to a concurrent publish or help.
+  std::uint64_t Freeze() {
+    std::uint64_t retries = 0;
+    for (auto& slot : words_) {
+      Word word = slot.load(std::memory_order_seq_cst);
+      while (VersionOf(word) == kBottom &&
+             !slot.compare_exchange_strong(word, Pack(kFrozen, CellOf(word)),
+                                           std::memory_order_seq_cst)) {
+        ++retries;
+      }
+    }
+    return retries;
+  }
+
+  /// fn(cell, version) for each of the first `slots` slots versioned at or
+  /// below `bound`.
+  template <typename Fn>
+  void ForEachVersioned(std::size_t slots, Version bound, const Fn& fn) const {
+    for (std::size_t t = 0; t < slots; ++t) {
+      const Word word = words_[t].load(std::memory_order_seq_cst);
+      const Version ver = VersionOf(word);
+      if (ver != kBottom && ver != kFrozen && ver <= bound) {
+        fn(CellOf(word), ver);
+      }
+    }
+  }
+
+ private:
+  using Word = std::uint64_t;
+  static constexpr Version kBottom = kNoVersion;  // the paper's ⊥
+  static constexpr Version kFrozen = (Version{1} << 48) - 1;
+  static constexpr Word kIdle = kNoCell;  // {⊥, none}
+
+  static constexpr Word Pack(Version ver, std::uint32_t cell) {
+    return ver << 16 | cell;
+  }
+  static constexpr Version VersionOf(Word word) { return word >> 16; }
+  static constexpr std::uint32_t CellOf(Word word) { return word & kNoCell; }
+
+  std::atomic<Word> words_[kMaxThreads];
+};
+
 // A chunk is one contiguous cache-aligned slab: the header below, then the
 // cell array `k` (capacity + 1 entries, cell 0 a sentinel), then the value
 // array `v` (capacity entries), then — for arena layouts — `arena_capacity`
@@ -76,22 +180,6 @@ class alignas(kCacheLineSize) ChunkT {
 
   /// Terminator / "no cell" marker for intra-chunk list links.
   static constexpr std::int32_t kNullIdx = -1;
-
-  // ---- PPA word packing: [version:48 | idx:16] -------------------------
-  static constexpr std::uint64_t kPpaIdxMask = 0xFFFF;
-  static constexpr std::uint32_t kPpaNoIdx = 0xFFFF;
-  static constexpr Version kPpaVerBottom = 0;
-  static constexpr Version kPpaVerFrozen = (std::uint64_t{1} << 48) - 1;
-  static constexpr std::uint64_t kPpaIdle =
-      (kPpaVerBottom << 16) | kPpaNoIdx;  // {⊥, ⊥}
-
-  static constexpr std::uint64_t PackPpa(Version ver, std::uint32_t idx) {
-    return (ver << 16) | (idx & kPpaIdxMask);
-  }
-  static constexpr Version PpaVer(std::uint64_t word) { return word >> 16; }
-  static constexpr std::uint32_t PpaIdx(std::uint64_t word) {
-    return static_cast<std::uint32_t>(word & kPpaIdxMask);
-  }
 
   /// One entry of array `k`.
   struct Cell {
@@ -187,7 +275,7 @@ class alignas(kCacheLineSize) ChunkT {
   Cell* const k;        // into the slab; [0] = sentinel, data in [1, capacity]
   StoredValue* const v; // into the slab; data value slots [0, capacity)
   char* const a;        // into the slab; the byte arena (arena layouts only)
-  std::atomic<std::uint64_t> ppa[kMaxThreads];
+  PendingPuts ppa;
 
   // ---- intra-chunk operations -----------------------------------------
 
@@ -231,15 +319,12 @@ class alignas(kCacheLineSize) ChunkT {
   /// Paper's helpPendingPuts: install the current GV into every pending,
   /// versionless PPA entry whose key is within [from, *to] (`to` ==
   /// nullptr: no upper bound, as byte keys have no finite maximum).
-  void HelpPendingPuts(GlobalVersion& gv, KeyView from, const KeyView* to);
+  void HelpPendingPuts(GlobalVersion& gv, KeyView from, const KeyView* to) {
+    ppa.Help(gv, CellsIn(from, to));
+  }
   void HelpPendingPuts(GlobalVersion& gv, KeyView from, KeyView to) {
     HelpPendingPuts(gv, from, &to);
   }
-
-  /// Freeze every PPA slot that has no version yet (rebalance stage 2).
-  /// Returns the number of CAS attempts that lost to a concurrent publish
-  /// or help (contention telemetry; the rebalance caller accounts it).
-  std::uint64_t FreezePpa();
 
   /// Allocated data-cell count (includes cells that lost races; an upper
   /// bound on live entries, used by the rebalance policy).
@@ -303,6 +388,17 @@ class alignas(kCacheLineSize) ChunkT {
     return Layout::LoadValue(a, v[val_ptr]);
   }
 
+  /// A predicate on cell indices: the cell's key lies in [from, *to] (`to`
+  /// == nullptr: no upper bound).
+  auto CellsIn(KeyView from, const KeyView* to) const {
+    return [this, lo = Layout::MakeProbe(from), bounded = to != nullptr,
+            hi = to != nullptr ? Layout::MakeProbe(*to) : Probe{}](
+               std::uint32_t cell) {
+      return Layout::CompareCell(a, k[cell].key, lo) >= 0 &&
+             (!bounded || Layout::CompareCell(a, k[cell].key, hi) <= 0);
+    };
+  }
+
   /// The one writer of the entry format: `cell`'s key and value slot `j`
   /// take {key, value}.  Arena layouts copy the key bytes to `arena_off`
   /// and the value bytes right after (EntryArenaBytes in all); a tombstone
@@ -317,6 +413,8 @@ class alignas(kCacheLineSize) ChunkT {
 
 /// The fixed-width map's chunk — the original spelling, unchanged hot paths.
 using Chunk = ChunkT<Int64Layout>;
+// The header is ten cache lines in both layouts, and every slab holds one.
+static_assert(sizeof(Chunk) == 640 && sizeof(ChunkT<ByteLayout>) == 640);
 
 // ---- definitions ---------------------------------------------------------
 
@@ -420,7 +518,6 @@ ChunkT<Layout>::ChunkT(reclaim::SlabPool* pool, KeyView min_key_arg,
     arena_off += need;
   }
   arena_used.store(arena_off, std::memory_order_relaxed);
-  for (auto& entry : ppa) entry.store(kPpaIdle, std::memory_order_relaxed);
 }
 
 template <typename Layout>
@@ -501,6 +598,16 @@ typename ChunkT<Layout>::LatestResult ChunkT<Layout>::FindLatest(
     KeyView key, Version max_version) const {
   LatestResult best;
   const Probe probe = Layout::MakeProbe(key);
+  // A candidate of `key` wins on the larger version, then the larger valPtr.
+  const auto consider = [&](std::int32_t cell, Version ver) {
+    if (Layout::CompareCell(a, k[cell].key, probe) != 0) return;
+    const std::int32_t val_ptr =
+        k[cell].val_ptr.load(std::memory_order_acquire);
+    if (!best.found || ver > best.version ||
+        (ver == best.version && val_ptr > best.val_ptr)) {
+      best = LatestResult{true, false, {}, ver, val_ptr};
+    }
+  };
 
   // PPA candidates first, list second.  The order matters: a put that links
   // its cell and then clears its PPA slot between our two passes is seen by
@@ -508,47 +615,13 @@ typename ChunkT<Layout>::LatestResult ChunkT<Layout>::FindLatest(
   //
   // Entries still at ⊥ were published after our helping pass and are ordered
   // after us; frozen entries belong to puts that will restart.
-  const std::size_t high_water = ThreadRegistry::HighWater();
-  for (std::size_t t = 0; t < high_water; ++t) {
-    const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
-    const Version ver = PpaVer(word);
-    if (ver == kPpaVerBottom || ver == kPpaVerFrozen || ver > max_version) {
-      continue;
-    }
-    const std::uint32_t idx = PpaIdx(word);
-    if (idx == kPpaNoIdx) continue;
-    const Cell& cell = k[idx];
-    if (Layout::CompareCell(a, cell.key, probe) != 0) continue;
-    const std::int32_t val_ptr = cell.val_ptr.load(std::memory_order_acquire);
-    if (!best.found || ver > best.version ||
-        (ver == best.version && val_ptr > best.val_ptr)) {
-      best.found = true;
-      best.version = ver;
-      best.val_ptr = val_ptr;
-    }
-  }
+  ppa.ForEachVersioned(ThreadRegistry::HighWater(), max_version, consider);
 
   // List candidate: versions of a key are chained in descending order, so
-  // the first in-range cell is the latest visible one.
-  std::int32_t curr =
-      k[BatchedPredecessorProbe(probe)].next.load(std::memory_order_acquire);
-  while (curr != kNullIdx) {
-    const Cell& cell = k[curr];
-    const int cmp = Layout::CompareCell(a, cell.key, probe);
-    if (cmp > 0) break;
-    if (cmp == 0 && cell.version <= max_version) {
-      const std::int32_t val_ptr =
-          cell.val_ptr.load(std::memory_order_acquire);
-      if (!best.found || cell.version > best.version ||
-          (cell.version == best.version && val_ptr > best.val_ptr)) {
-        best.found = true;
-        best.version = cell.version;
-        best.val_ptr = val_ptr;
-      }
-      break;
-    }
-    curr = cell.next.load(std::memory_order_acquire);
-  }
+  // the first cell at or below max_version is the latest visible one.
+  std::int32_t first;
+  FindCellFrom(kNullIdx, key, max_version, nullptr, &first);
+  if (first != kNullIdx) consider(first, k[first].version);
 
   if (best.found) {
     best.value = LoadValue(best.val_ptr);
@@ -558,72 +631,18 @@ typename ChunkT<Layout>::LatestResult ChunkT<Layout>::FindLatest(
 }
 
 template <typename Layout>
-void ChunkT<Layout>::HelpPendingPuts(GlobalVersion& gv, KeyView from,
-                                     const KeyView* to) {
-  const Probe from_probe = Layout::MakeProbe(from);
-  const Probe to_probe = to != nullptr ? Layout::MakeProbe(*to) : Probe{};
-  const std::size_t high_water = ThreadRegistry::HighWater();
-  for (std::size_t t = 0; t < high_water; ++t) {
-    const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
-    if (PpaVer(word) != kPpaVerBottom) continue;
-    const std::uint32_t idx = PpaIdx(word);
-    if (idx == kPpaNoIdx) continue;
-    const CellKey& key = k[idx].key;
-    if (Layout::CompareCell(a, key, from_probe) < 0 ||
-        (to != nullptr && Layout::CompareCell(a, key, to_probe) > 0)) {
-      continue;
-    }
-    const Version current = gv.Load();
-    std::uint64_t expected = word;
-    // Failure means the put assigned its own version, was helped by someone
-    // else, or was frozen — all fine.
-    ppa[t].compare_exchange_strong(expected, PackPpa(current, idx),
-                                   std::memory_order_seq_cst);
-  }
-}
-
-template <typename Layout>
-std::uint64_t ChunkT<Layout>::FreezePpa() {
-  std::uint64_t retries = 0;
-  for (std::size_t t = 0; t < kMaxThreads; ++t) {
-    while (true) {
-      const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
-      if (PpaVer(word) != kPpaVerBottom) break;  // versioned or frozen
-      std::uint64_t expected = word;
-      if (ppa[t].compare_exchange_strong(expected,
-                                         PackPpa(kPpaVerFrozen, PpaIdx(word)),
-                                         std::memory_order_seq_cst)) {
-        break;
-      }
-      ++retries;  // lost to a concurrent publish/help; re-read and retry
-    }
-  }
-  return retries;
-}
-
-template <typename Layout>
 void ChunkT<Layout>::CollectPpaItems(std::vector<Item>& out, KeyView from,
                                      const KeyView* to,
                                      Version max_version) const {
-  const Probe from_probe = Layout::MakeProbe(from);
-  const Probe to_probe = to != nullptr ? Layout::MakeProbe(*to) : Probe{};
-  for (std::size_t t = 0; t < kMaxThreads; ++t) {
-    const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
-    const Version ver = PpaVer(word);
-    if (ver == kPpaVerBottom || ver == kPpaVerFrozen || ver > max_version) {
-      continue;
-    }
-    const std::uint32_t idx = PpaIdx(word);
-    if (idx == kPpaNoIdx) continue;
-    const Cell& cell = k[idx];
-    if (Layout::CompareCell(a, cell.key, from_probe) < 0 ||
-        (to != nullptr && Layout::CompareCell(a, cell.key, to_probe) > 0)) {
-      continue;
-    }
-    const std::int32_t val_ptr = cell.val_ptr.load(std::memory_order_acquire);
-    out.push_back(Item{Layout::CellKeyView(a, cell.key), ver, val_ptr,
+  const auto in_range = CellsIn(from, to);
+  ppa.ForEachVersioned(kMaxThreads, max_version, [&](std::uint32_t cell,
+                                                     Version ver) {
+    if (!in_range(cell)) return;
+    const std::int32_t val_ptr =
+        k[cell].val_ptr.load(std::memory_order_acquire);
+    out.push_back(Item{Layout::CellKeyView(a, k[cell].key), ver, val_ptr,
                        LoadValue(val_ptr)});
-  }
+  });
 }
 
 template <typename Layout>

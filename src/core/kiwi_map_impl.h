@@ -20,7 +20,7 @@ template <typename Layout>
 KiWiMapT<Layout>::KiWiMapT(KiWiConfig config)
     : policy_(config), ebr_(), index_(ebr_) {
   KIWI_ASSERT(config.chunk_capacity >= 2 &&
-                  config.chunk_capacity < Chunk::kPpaNoIdx,
+                  config.chunk_capacity < PendingPuts::kNoCell,
               "chunk capacity must fit the PPA's 16-bit cell index");
   if constexpr (Layout::kHasArena) {
     const std::uint64_t arena =
@@ -199,41 +199,29 @@ bool KiWiMapT<Layout>::InstallEntry(Chunk* chunk, std::size_t slot,
   cell.val_ptr.store(static_cast<std::int32_t>(j), std::memory_order_relaxed);
   cell.next.store(Chunk::kNullIdx, std::memory_order_relaxed);
 
-  // Re-read the status after this thread's last idle store to the slot.
-  // FreezePpa freezes only unversioned words, so a freeze that found the
-  // slot holding this thread's previous entry in this chunk left it
-  // unfrozen; once that entry stored idle, a publish from idle would
-  // succeed in the frozen chunk and link after the rebalance harvested it
+  // Re-read the status after this thread's last Clear of its slot.
+  // PendingPuts::Freeze leaves versioned slots alone, so a freeze that met
+  // this thread's previous entry here left the slot unfrozen, and a publish
+  // from idle would succeed in the frozen chunk and link after the harvest
   // (a lost update).  Seq_cst orders this load against the freezer's status
-  // store: either we see kFrozen here, or FreezePpa reads the slot after
-  // our last idle store and the publish CAS below races it as usual.
+  // store: either we see kFrozen, or Freeze reads the slot after our Clear.
   if (chunk->status.load(std::memory_order_seq_cst) ==
       Chunk::Status::kFrozen) {
     return false;
   }
 
-  // Publish in the PPA, then acquire a version.  The publish is a CAS from
-  // the idle word so it fails if the chunk froze meanwhile (paper line 14).
-  std::uint64_t expected = Chunk::kPpaIdle;
-  if (!chunk->ppa[slot].compare_exchange_strong(
-          expected, Chunk::PackPpa(Chunk::kPpaVerBottom, i),
-          std::memory_order_seq_cst)) {
+  // Publish in the PPA, then acquire a version (paper lines 13-16).  A
+  // frozen slot fails either step; the caller retries elsewhere.
+  if (!chunk->ppa.Publish(slot, i)) {
     KIWI_OBS_INC(obs_, ppa_publish_fails);
     return false;
   }
   if (traced) KIWI_TRACE(kPutPpaPublish, Layout::TraceKey(key), i);
   TestHooks::Run(TestHooks::kPutBeforeVersionCas);
-  const Version gv = gv_.Load();
-  std::uint64_t published = Chunk::PackPpa(Chunk::kPpaVerBottom, i);
-  const bool own_cas = chunk->ppa[slot].compare_exchange_strong(
-      published, Chunk::PackPpa(gv, i), std::memory_order_seq_cst);
-  // Whether our CAS, a helper's, or the freezer won, the entry is
-  // authoritative (paper line 16).  A frozen entry stays frozen: the chunk
-  // is dead and the caller retries elsewhere.
-  const Version version =
-      Chunk::PpaVer(chunk->ppa[slot].load(std::memory_order_seq_cst));
-  if (version == Chunk::kPpaVerFrozen) return false;
-  if (!own_cas) {
+  bool helped = false;
+  const Version version = chunk->ppa.TakeVersion(slot, i, gv_.Load(), &helped);
+  if (version == kNoVersion) return false;
+  if (helped) {
     KIWI_OBS_INC(obs_, puts_helped);  // a scan or get installed our version
     KIWI_TRACE(kPutHelped, Layout::TraceKey(key), version);
   }
@@ -271,7 +259,7 @@ bool KiWiMapT<Layout>::InstallEntry(Chunk* chunk, std::size_t slot,
         std::memory_order_seq_cst);
   }
 
-  chunk->ppa[slot].store(Chunk::kPpaIdle, std::memory_order_seq_cst);
+  chunk->ppa.Clear(slot);
   return true;
 }
 
@@ -593,16 +581,11 @@ void KiWiMapT<Layout>::EmitChunkRange(
 
   // Walk the in-chunk list, merging with the pending stream by key.  The
   // list is sorted and a put links a cell only at its place, so the cells
-  // below `from` are passed once, here; in the loop each key costs one
-  // compare against `to` and one that ends its version run.
-  const auto from_probe = Layout::MakeProbe(from);
-  std::int32_t curr =
-      chunk->k[chunk->BatchedPredecessorProbe(from_probe)].next.load(
-          std::memory_order_acquire);
-  while (curr != Chunk::kNullIdx &&
-         Layout::CompareCell(chunk->a, chunk->k[curr].key, from_probe) < 0) {
-    curr = chunk->k[curr].next.load(std::memory_order_acquire);
-  }
+  // below `from` are passed once, here (kPendingVersion tops every linked
+  // version, so FindCellFrom stops at `from`'s first cell); in the loop each
+  // key costs one compare against `to` and one that ends its version run.
+  std::int32_t curr;
+  chunk->FindCellFrom(Chunk::kNullIdx, from, kPendingVersion, nullptr, &curr);
   typename Layout::Probe to_probe{};
   if (to != nullptr) to_probe = Layout::MakeProbe(*to);
   while (curr != Chunk::kNullIdx) {
@@ -770,7 +753,7 @@ void KiWiMapT<Layout>::CheckInvariants() {
       const KeyView cell_key = Layout::CellKeyView(c->a, cell.key);
       KIWI_ASSERT(!Layout::KeyLess(cell_key, c->MinKey()),
                   "cell below chunk range");
-      KIWI_ASSERT(succ == nullptr || Layout::KeyLeq(cell_key, succ->MinKey()),
+      KIWI_ASSERT(succ == nullptr || Layout::KeyLess(cell_key, succ->MinKey()),
                   "cell above chunk range");
       if (!first) {
         KIWI_ASSERT(Layout::KeyLess(last_key, cell_key) ||

@@ -94,11 +94,9 @@ std::size_t KiWiMapT<Layout>::Rebalance(Chunk* chunk,
       // kFrozen is exactly the intent, and stage 7's CAS(infant -> normal)
       // fails harmlessly afterwards.
       c->status.store(Chunk::Status::kFrozen, std::memory_order_seq_cst);
-      // FreezePpa must run even when stats are compiled out (KIWI_OBS_ADD
-      // drops its argument unevaluated), so call it outside the macro.
-      const std::uint64_t ppa_retries = c->FreezePpa();
+      // Outside KIWI_OBS_ADD, which drops its argument when stats are off.
+      [[maybe_unused]] const std::uint64_t ppa_retries = c->ppa.Freeze();
       KIWI_OBS_ADD(obs_, freeze_cas_retries, ppa_retries);
-      (void)ppa_retries;  // silence -Wunused in KIWI_STATS=OFF builds
       ++frozen;
       if (c == last) break;
     }

@@ -98,8 +98,6 @@ struct Int64Driver {
     snapshot->Scan(from, to, out);
   }
   void CloseSnapshot() { snapshot.reset(); }
-  void CheckInvariants() { map.CheckInvariants(); }
-  std::string DebugReportText() { return map.DebugReport().ToText(); }
 };
 
 struct ByteDriver {
@@ -139,8 +137,6 @@ struct ByteDriver {
     snapshot->Scan(ByteKey(from), ByteKey(to), Collect(out));
   }
   void CloseSnapshot() { snapshot.reset(); }
-  void CheckInvariants() { map.CheckInvariants(); }
-  std::string DebugReportText() { return map.DebugReport().ToText(); }
 };
 
 template <class Driver>

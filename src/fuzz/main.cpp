@@ -199,10 +199,11 @@ int ParseArgs(int argc, char** argv, Options& opt) {
       if (!ParseU64(s, v) || v == 0) return 2;
       opt.params.keys = static_cast<std::uint32_t>(v);
     } else if (const char* s = value("--chunk-capacity=")) {
-      // Cell indices must fit the PPA word's 16-bit index field.
-      if (!ParseU64(s, v) || v < 2 || v >= kiwi::core::Chunk::kPpaNoIdx) {
+      // Cell indices must fit the PPA word's 16-bit cell field.
+      using kiwi::core::PendingPuts;
+      if (!ParseU64(s, v) || v < 2 || v >= PendingPuts::kNoCell) {
         std::fprintf(stderr, "--chunk-capacity must be in [2, %u]\n",
-                     kiwi::core::Chunk::kPpaNoIdx - 1);
+                     PendingPuts::kNoCell - 1);
         return 2;
       }
       opt.params.chunk_capacity = static_cast<std::uint32_t>(v);

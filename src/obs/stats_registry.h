@@ -129,40 +129,42 @@ struct ShardCounters {
   }
 };
 
-/// The latency distributions a map maintains.  kPut/kGet/kScan time whole
-/// client operations (sampled); the rebalance entries time every execution
-/// of the whole procedure and of each §3.3.2 stage.
+// Every latency distribution a map maintains, as X(id, name) in Latency
+// order: the id is the enumerator, the name the stable short name in
+// DebugReport's text and JSON output and the metrics pump's `op` label.
+// put/get/scan time whole client operations (sampled); the rebalance
+// entries time every execution of the whole procedure and of each §3.3.2
+// stage.  docs/OBSERVABILITY.md's latency table is pinned against this
+// list by tests/export_test.cpp.
+#define KIWI_OBS_LATENCY_METRICS(X)                                     \
+  X(kPut, "put")                                                        \
+  X(kGet, "get")                                                        \
+  X(kScan, "scan")                                                      \
+  X(kRebalance, "rebalance")                 /* whole Rebalance() */    \
+  X(kRebalanceEngage, "rebalance_engage")    /* stage 1 */              \
+  X(kRebalanceFreeze, "rebalance_freeze")    /* stage 2 */              \
+  X(kRebalanceBuild, "rebalance_build")      /* stages 3-4 */           \
+  X(kRebalanceReplace, "rebalance_replace")  /* stage 5 */              \
+  X(kRebalanceIndex, "rebalance_index")      /* stages 6-7 */
+
 enum class Latency : std::size_t {
-  kPut = 0,
-  kGet,
-  kScan,
-  kRebalance,         // whole Rebalance() execution
-  kRebalanceEngage,   // stage 1
-  kRebalanceFreeze,   // stage 2
-  kRebalanceBuild,    // stages 3-4 (min-version + build)
-  kRebalanceReplace,  // stage 5 (consensus + splice)
-  kRebalanceIndex,    // stages 6-7 (index update + normalize)
+#define KIWI_OBS_LATENCY_ID(id, name) id,
+  KIWI_OBS_LATENCY_METRICS(KIWI_OBS_LATENCY_ID)
+#undef KIWI_OBS_LATENCY_ID
   kCount_,
 };
 
 inline constexpr std::size_t kLatencyCount =
     static_cast<std::size_t>(Latency::kCount_);
 
-/// Stable short names, used by DebugReport's text and JSON output.
 inline const char* LatencyName(Latency metric) {
-  switch (metric) {
-    case Latency::kPut: return "put";
-    case Latency::kGet: return "get";
-    case Latency::kScan: return "scan";
-    case Latency::kRebalance: return "rebalance";
-    case Latency::kRebalanceEngage: return "rebalance_engage";
-    case Latency::kRebalanceFreeze: return "rebalance_freeze";
-    case Latency::kRebalanceBuild: return "rebalance_build";
-    case Latency::kRebalanceReplace: return "rebalance_replace";
-    case Latency::kRebalanceIndex: return "rebalance_index";
-    case Latency::kCount_: break;
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+#define KIWI_OBS_LATENCY_NAME(id, name) name,
+      KIWI_OBS_LATENCY_METRICS(KIWI_OBS_LATENCY_NAME)
+#undef KIWI_OBS_LATENCY_NAME
+  };
+  return metric < Latency::kCount_ ? kNames[static_cast<std::size_t>(metric)]
+                                   : "?";
 }
 
 class StatsRegistry {

@@ -1,6 +1,6 @@
-// Unit tests for the chunk data structure: PPA word packing, batched-prefix
-// binary search, intra-chunk list operations, versioned reads, freezing,
-// helping, and harvest.
+// Unit tests for the chunk data structure: the PPA slot protocol,
+// batched-prefix binary search, intra-chunk list operations, versioned
+// reads, freezing, helping, and harvest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,17 +37,89 @@ ChunkPtr MakeChunkWith(std::vector<Item> items, std::uint32_t capacity = 64) {
                   &Chunk::Destroy);
 }
 
-TEST(PpaWord, PackRoundTrips) {
-  const std::uint64_t word = Chunk::PackPpa(0x123456789ABCull, 0x321);
-  EXPECT_EQ(Chunk::PpaVer(word), 0x123456789ABCull);
-  EXPECT_EQ(Chunk::PpaIdx(word), 0x321u);
+using Seen = std::vector<std::pair<std::uint32_t, Version>>;
+
+// The slots a PPA walk reports at or below `bound`, as {cell, version}.
+Seen Versioned(const PendingPuts& ppa, Version bound) {
+  Seen seen;
+  ppa.ForEachVersioned(kMaxThreads, bound, [&](std::uint32_t cell,
+                                               Version ver) {
+    seen.emplace_back(cell, ver);
+  });
+  return seen;
 }
 
-TEST(PpaWord, SpecialValuesDistinct) {
-  EXPECT_EQ(Chunk::PpaVer(Chunk::kPpaIdle), Chunk::kPpaVerBottom);
-  EXPECT_EQ(Chunk::PpaIdx(Chunk::kPpaIdle), Chunk::kPpaNoIdx);
-  EXPECT_NE(Chunk::kPpaVerFrozen, Chunk::kPpaVerBottom);
-  EXPECT_GT(Chunk::kPpaVerFrozen, kMaxReadVersion);
+// One slot through the protocol.  Publish leaves it at ⊥, which the
+// versioned walk skips; help or take-version makes it visible to bounds at
+// or above its version; clear idles it.  Freeze turns ⊥ slots, idle or
+// pending, frozen, so publish and take-version then fail, and leaves
+// versioned slots alone.
+TEST(PendingPuts, SlotStateMachine) {
+  GlobalVersion gv;
+  gv.FetchIncrement();
+  gv.FetchIncrement();  // GV = 3
+  PendingPuts ppa;
+  // Help walks the slots below the registry's high-water mark.
+  const std::size_t slot = ThreadRegistry::CurrentSlot();
+  const auto accept = [](std::uint32_t cell) { return cell == 7; };
+  bool helped = false;
+
+  EXPECT_EQ(Versioned(ppa, kMaxReadVersion), Seen{});
+  ASSERT_TRUE(ppa.Publish(slot, 7));
+  EXPECT_FALSE(ppa.Publish(slot, 8)) << "publish needs an idle slot";
+  EXPECT_EQ(Versioned(ppa, kMaxReadVersion), Seen{}) << "⊥ is skipped";
+  ppa.Help(gv, [](std::uint32_t) { return false; });
+  EXPECT_EQ(Versioned(ppa, kMaxReadVersion), Seen{}) << "help filters";
+  ppa.Help(gv, accept);
+  EXPECT_EQ(Versioned(ppa, 2), Seen{});
+  EXPECT_EQ(Versioned(ppa, 3), (Seen{{7, 3}}));
+  // The owner adopts the helper's version.
+  EXPECT_EQ(ppa.TakeVersion(slot, 7, 9, &helped), 3u);
+  EXPECT_TRUE(helped);
+  ppa.Clear(slot);
+  EXPECT_EQ(Versioned(ppa, kMaxReadVersion), Seen{});
+
+  // The owner versions its own slot.
+  ASSERT_TRUE(ppa.Publish(slot, 9));
+  EXPECT_EQ(ppa.TakeVersion(slot, 9, 5, &helped), 5u);
+  EXPECT_FALSE(helped);
+  EXPECT_EQ(Versioned(ppa, 4), Seen{});
+  EXPECT_EQ(Versioned(ppa, 5), (Seen{{9, 5}}));
+  ppa.Help(gv, accept);  // a versioned slot is not pending
+  EXPECT_EQ(Versioned(ppa, kMaxReadVersion), (Seen{{9, 5}}));
+
+  // Freeze: `slot` pending at ⊥ (Help reaches it), `versioned` holding a
+  // version, `idle` idle.
+  ppa.Clear(slot);
+  const std::size_t versioned = (slot + 1) % kMaxThreads;
+  const std::size_t idle = (slot + 2) % kMaxThreads;
+  ASSERT_TRUE(ppa.Publish(versioned, 9));
+  ASSERT_EQ(ppa.TakeVersion(versioned, 9, 5, &helped), 5u);
+  ASSERT_TRUE(ppa.Publish(slot, 7));
+  EXPECT_EQ(ppa.Freeze(), 0u);
+  ppa.Help(gv, accept);  // a frozen slot is not pending either
+  EXPECT_EQ(Versioned(ppa, kMaxReadVersion), (Seen{{9, 5}}));
+  EXPECT_EQ(ppa.TakeVersion(slot, 7, 6, &helped), kNoVersion);
+  EXPECT_FALSE(helped);
+  EXPECT_FALSE(ppa.Publish(idle, 4));
+  // The skipped slot is publishable again once its owner clears it, which
+  // is why InstallEntry re-reads the chunk status before publishing.
+  ppa.Clear(versioned);
+  EXPECT_EQ(Versioned(ppa, kMaxReadVersion), Seen{});
+  EXPECT_TRUE(ppa.Publish(versioned, 4));
+}
+
+// The widest version a read may bound by and the last cell a chunk may
+// hold come back out of the packed word unchanged.
+TEST(PendingPuts, WideVersionAndLastCellRoundTrip) {
+  PendingPuts ppa;
+  const std::uint32_t last = PendingPuts::kNoCell - 1;
+  ASSERT_TRUE(ppa.Publish(0, last));
+  bool helped = true;
+  EXPECT_EQ(ppa.TakeVersion(0, last, kMaxReadVersion, &helped),
+            kMaxReadVersion);
+  EXPECT_FALSE(helped);
+  EXPECT_EQ(Versioned(ppa, kMaxReadVersion), (Seen{{last, kMaxReadVersion}}));
 }
 
 TEST(ChunkBatched, ConstructorSeedsSortedPrefix) {
@@ -125,6 +197,15 @@ TEST(ChunkFind, ReportsInsertionPoint) {
   EXPECT_EQ(chunk.k[succ].key, 30);
 }
 
+// Publishes `cell` in `slot` and installs `version`, as a put does.
+void PublishVersioned(Chunk& chunk, std::size_t slot, std::uint32_t cell,
+                      Version version) {
+  bool helped = true;
+  ASSERT_TRUE(chunk.ppa.Publish(slot, cell));
+  ASSERT_EQ(chunk.ppa.TakeVersion(slot, cell, version, &helped), version);
+  ASSERT_FALSE(helped);
+}
+
 TEST(ChunkPpa, PendingPutVisibleThroughFindLatest) {
   ChunkPtr chunk_owner = MakeChunkWith({});
   Chunk& chunk = *chunk_owner;
@@ -132,15 +213,13 @@ TEST(ChunkPpa, PendingPutVisibleThroughFindLatest) {
   chunk.v[0] = 4242;
   chunk.k[1].key = 77;
   chunk.k[1].val_ptr.store(0);
-  const std::size_t slot = ThreadRegistry::CurrentSlot();
-  chunk.ppa[slot].store(Chunk::PackPpa(9, 1));  // version 9, cell 1
+  PublishVersioned(chunk, ThreadRegistry::CurrentSlot(), 1, 9);
   const auto latest = chunk.FindLatest(77, kMaxReadVersion);
   ASSERT_TRUE(latest.found);
   EXPECT_EQ(latest.value, 4242);
   EXPECT_EQ(latest.version, 9u);
   // Bounded read below the pending version misses it.
   EXPECT_FALSE(chunk.FindLatest(77, 8).found);
-  chunk.ppa[slot].store(Chunk::kPpaIdle);
 }
 
 TEST(ChunkPpa, VersionlessEntryIgnoredByReadsButHelped) {
@@ -151,15 +230,15 @@ TEST(ChunkPpa, VersionlessEntryIgnoredByReadsButHelped) {
   chunk.k[1].key = 55;
   chunk.k[1].val_ptr.store(0);
   const std::size_t slot = ThreadRegistry::CurrentSlot();
-  chunk.ppa[slot].store(Chunk::PackPpa(Chunk::kPpaVerBottom, 1));
+  ASSERT_TRUE(chunk.ppa.Publish(slot, 1));
   // Unversioned pending puts are invisible (they ordered after us)...
   EXPECT_FALSE(chunk.FindLatest(55, kMaxReadVersion).found);
-  // ...until helping installs the current GV.
+  // ...until helping installs the current GV, which the owner adopts.
   chunk.HelpPendingPuts(gv, 0, 100);
-  const std::uint64_t word = chunk.ppa[slot].load();
-  EXPECT_EQ(Chunk::PpaVer(word), gv.Load());
   EXPECT_TRUE(chunk.FindLatest(55, kMaxReadVersion).found);
-  chunk.ppa[slot].store(Chunk::kPpaIdle);
+  bool helped = false;
+  EXPECT_EQ(chunk.ppa.TakeVersion(slot, 1, gv.Load() + 1, &helped), gv.Load());
+  EXPECT_TRUE(helped);
 }
 
 TEST(ChunkPpa, HelpRespectsKeyRange) {
@@ -169,10 +248,11 @@ TEST(ChunkPpa, HelpRespectsKeyRange) {
   chunk.k[1].key = 500;
   chunk.k[1].val_ptr.store(0);
   const std::size_t slot = ThreadRegistry::CurrentSlot();
-  chunk.ppa[slot].store(Chunk::PackPpa(Chunk::kPpaVerBottom, 1));
+  ASSERT_TRUE(chunk.ppa.Publish(slot, 1));
   chunk.HelpPendingPuts(gv, 0, 100);  // range misses key 500
-  EXPECT_EQ(Chunk::PpaVer(chunk.ppa[slot].load()), Chunk::kPpaVerBottom);
-  chunk.ppa[slot].store(Chunk::kPpaIdle);
+  bool helped = true;
+  EXPECT_EQ(chunk.ppa.TakeVersion(slot, 1, 7, &helped), 7u);
+  EXPECT_FALSE(helped) << "the slot must still be pending";
 }
 
 // Both PPA loops take [from, *to]: the lower bound always holds, the upper
@@ -194,7 +274,7 @@ TEST(ChunkPpa, RangeLoopsKeepFromAndApplyOptionalTo) {
 
   // Versioned entries, one slot each.
   for (std::uint32_t i = 0; i < 4; ++i) {
-    chunk.ppa[(slot + i) % kMaxThreads].store(Chunk::PackPpa(5, i + 1));
+    PublishVersioned(chunk, (slot + i) % kMaxThreads, i + 1, 5);
   }
   const auto collected = [&](const Key* upper) {
     std::vector<Item> items;
@@ -207,17 +287,18 @@ TEST(ChunkPpa, RangeLoopsKeepFromAndApplyOptionalTo) {
   EXPECT_EQ(collected(&to), (std::vector<Key>{20, 30}));
   EXPECT_EQ(collected(nullptr), (std::vector<Key>{20, 30, 40}));
   for (std::uint32_t i = 0; i < 4; ++i) {
-    chunk.ppa[(slot + i) % kMaxThreads].store(Chunk::kPpaIdle);
+    chunk.ppa.Clear((slot + i) % kMaxThreads);
   }
 
   // Pending entries.  HelpPendingPuts scans slots up to the registry's
-  // high-water mark, so each entry takes this thread's slot in turn.
+  // high-water mark, so each entry takes this thread's slot in turn; the
+  // owner's take-version then reports whether help versioned it.
   const auto helped = [&](std::uint32_t cell, const Key* upper) {
-    chunk.ppa[slot].store(Chunk::PackPpa(Chunk::kPpaVerBottom, cell));
+    EXPECT_TRUE(chunk.ppa.Publish(slot, cell));
     chunk.HelpPendingPuts(gv, from, upper);
-    const bool versioned =
-        Chunk::PpaVer(chunk.ppa[slot].load()) != Chunk::kPpaVerBottom;
-    chunk.ppa[slot].store(Chunk::kPpaIdle);
+    bool versioned = false;
+    chunk.ppa.TakeVersion(slot, cell, gv.Load() + 1, &versioned);
+    chunk.ppa.Clear(slot);
     return versioned;
   };
   const bool in_bounded[] = {false, true, true, false};
@@ -231,20 +312,25 @@ TEST(ChunkPpa, RangeLoopsKeepFromAndApplyOptionalTo) {
 TEST(ChunkPpa, FreezeBlocksVersionlessEntries) {
   ChunkPtr chunk_owner = MakeChunkWith({});
   Chunk& chunk = *chunk_owner;
+  chunk.v[0] = 1212;
+  chunk.k[4].key = 40;
+  chunk.k[4].val_ptr.store(0);
   const std::size_t slot = ThreadRegistry::CurrentSlot();
   // One versionless pending put and one already-versioned entry.
-  chunk.ppa[slot].store(Chunk::PackPpa(Chunk::kPpaVerBottom, 3));
-  const std::size_t other = (slot + 1) % kMaxThreads;
-  chunk.ppa[other].store(Chunk::PackPpa(12, 4));
-  chunk.FreezePpa();
-  EXPECT_EQ(Chunk::PpaVer(chunk.ppa[slot].load()), Chunk::kPpaVerFrozen);
-  EXPECT_EQ(Chunk::PpaVer(chunk.ppa[other].load()), 12u);  // untouched
-  // A put's version CAS (⊥ -> gv) must now fail.
-  std::uint64_t expected = Chunk::PackPpa(Chunk::kPpaVerBottom, 3);
-  EXPECT_FALSE(chunk.ppa[slot].compare_exchange_strong(
-      expected, Chunk::PackPpa(1, 3)));
-  chunk.ppa[slot].store(Chunk::kPpaIdle);
-  chunk.ppa[other].store(Chunk::kPpaIdle);
+  ASSERT_TRUE(chunk.ppa.Publish(slot, 3));
+  PublishVersioned(chunk, (slot + 1) % kMaxThreads, 4, 12);
+  chunk.ppa.Freeze();
+  // The put's version CAS (⊥ -> gv) now fails; the harvest still gets the
+  // versioned entry.
+  bool helped = true;
+  EXPECT_EQ(chunk.ppa.TakeVersion(slot, 3, 1, &helped), kNoVersion);
+  EXPECT_FALSE(helped);
+  std::vector<Item> harvest;
+  chunk.CollectPpaItems(harvest, kMinUserKey, nullptr, kMaxReadVersion);
+  ASSERT_EQ(harvest.size(), 1u);
+  EXPECT_EQ(harvest[0].key, 40);
+  EXPECT_EQ(harvest[0].version, 12u);
+  EXPECT_EQ(harvest[0].value, 1212);
 }
 
 TEST(ChunkHarvest, CollectMergesListAndPpa) {
@@ -255,8 +341,7 @@ TEST(ChunkHarvest, CollectMergesListAndPpa) {
   chunk.v[2] = 150;
   chunk.k[3].key = 15;
   chunk.k[3].val_ptr.store(2);
-  const std::size_t slot = ThreadRegistry::CurrentSlot();
-  chunk.ppa[slot].store(Chunk::PackPpa(5, 3));
+  PublishVersioned(chunk, ThreadRegistry::CurrentSlot(), 3, 5);
   std::vector<Item> harvested;
   chunk.CollectItems(harvested);
   ASSERT_EQ(harvested.size(), 3u);
@@ -265,7 +350,6 @@ TEST(ChunkHarvest, CollectMergesListAndPpa) {
   EXPECT_EQ(harvested[1].version, 5u);
   EXPECT_EQ(harvested[1].value, 150);
   EXPECT_EQ(harvested[2].key, 20);
-  chunk.ppa[slot].store(Chunk::kPpaIdle);
 }
 
 TEST(ChunkHarvest, DuplicateKeyVersionKeepsLargerValPtr) {
@@ -277,8 +361,7 @@ TEST(ChunkHarvest, DuplicateKeyVersionKeepsLargerValPtr) {
   chunk.v[1] = 222;
   chunk.k[2].key = 50;
   chunk.k[2].val_ptr.store(1);
-  const std::size_t slot = ThreadRegistry::CurrentSlot();
-  chunk.ppa[slot].store(Chunk::PackPpa(3, 2));
+  PublishVersioned(chunk, ThreadRegistry::CurrentSlot(), 2, 3);
   std::vector<Item> harvested;
   chunk.CollectItems(harvested);
   ASSERT_EQ(harvested.size(), 1u);
@@ -287,7 +370,6 @@ TEST(ChunkHarvest, DuplicateKeyVersionKeepsLargerValPtr) {
   // FindLatest applies the same tie break.
   const auto latest = chunk.FindLatest(50, kMaxReadVersion);
   EXPECT_EQ(latest.value, 222);
-  chunk.ppa[slot].store(Chunk::kPpaIdle);
 }
 
 // The harvest contract, for either layout.  A chunk left the way puts leave
@@ -354,9 +436,14 @@ void ExpectHarvestIsSortedUnique(KeyOf key_of, ValueOf value_of) {
     chunk.k[pred].next.store(cell);
   };
   const std::size_t slot = ThreadRegistry::CurrentSlot();
+  // Publishes a filled cell in the n-th slot and versions it, as a put does.
   const auto publish = [&](std::size_t n, std::int32_t cell) {
-    chunk.ppa[(slot + n) % kMaxThreads].store(
-        C::PackPpa(chunk.k[cell].version, static_cast<std::uint32_t>(cell)));
+    const auto c = static_cast<std::uint32_t>(cell);
+    bool helped = true;
+    ASSERT_TRUE(chunk.ppa.Publish((slot + n) % kMaxThreads, c));
+    ASSERT_EQ(chunk.ppa.TakeVersion((slot + n) % kMaxThreads, c,
+                                    chunk.k[cell].version, &helped),
+              chunk.k[cell].version);
   };
 
   // The linked suffix, interleaved with the prefix, linked out of order.
@@ -411,7 +498,7 @@ TEST(ChunkHarvest, PrefixTiedByteKeysHarvestLikeAFullSort) {
     return std::string_view(bytes.back());
   };
   const auto value_of = [&](int value) {
-    bytes.push_back("v" + std::to_string(value));
+    bytes.push_back(std::string("v").append(std::to_string(value)));
     return std::string_view(bytes.back());
   };
   ExpectHarvestIsSortedUnique<ByteLayout>(key_of, value_of);

@@ -616,6 +616,17 @@ TEST(ObsDocs, EveryTraceEventIsDocumented) {
 #undef KIWI_TRACE_CHECK_DOC
 }
 
+// Every latency metric has a row in the latency histogram table.
+TEST(ObsDocs, EveryLatencyMetricIsDocumented) {
+  const std::string text = ReadDoc("OBSERVABILITY.md");
+  ASSERT_FALSE(text.empty()) << "docs/OBSERVABILITY.md not found";
+#define KIWI_OBS_CHECK_LATENCY_DOC(id, name)                 \
+  EXPECT_NE(text.find("| `" name "` |"), std::string::npos) \
+      << name " missing from docs/OBSERVABILITY.md's latency table";
+  KIWI_OBS_LATENCY_METRICS(KIWI_OBS_CHECK_LATENCY_DOC)
+#undef KIWI_OBS_CHECK_LATENCY_DOC
+}
+
 // docs/TESTING.md maps every hook site as "| i | `name` |" and every mutant
 // as "| `name` | 0xN |", in the lists' order and bits.
 TEST(TestingDocs, EveryHookSiteAndMutantIsMapped) {

@@ -76,7 +76,8 @@ TEST_P(KaryArity, EmptyAndSingletonEdgeCases) {
 INSTANTIATE_TEST_SUITE_P(Arities, KaryArity,
                          ::testing::Values(2u, 4u, 16u, 64u),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           return std::string("k").append(
+                               std::to_string(info.param));
                          });
 
 }  // namespace

@@ -290,13 +290,13 @@ TEST(KiWiByteMap, PutBatchMatchesPutSemantics) {
   std::vector<Entry> batch;
   for (int i = 0; i < 3000; ++i) {
     batch.emplace_back("batch:" + std::to_string(i % 1000),
-                       "v" + std::to_string(i));
+                       std::string("v").append(std::to_string(i)));
   }
   map.PutBatch(batch);  // duplicates: last occurrence wins
   for (int k = 0; k < 1000; ++k) {
     const auto got = map.Get("batch:" + std::to_string(k));
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, "v" + std::to_string(2000 + k));
+    EXPECT_EQ(*got, std::string("v").append(std::to_string(2000 + k)));
   }
   EXPECT_EQ(map.Size(), 1000u);
 }
@@ -318,11 +318,11 @@ TEST(KiWiByteMap, BulkLoadConstructor) {
 TEST(KiWiByteMap, SnapshotIsolatesFromLaterWrites) {
   KiWiByteMap map;
   for (int i = 0; i < 100; ++i) {
-    map.Put("s" + std::to_string(i), "old");
+    map.Put(std::string("s").append(std::to_string(i)), "old");
   }
   KiWiByteMap::Snapshot snap(map);
   for (int i = 0; i < 100; ++i) {
-    map.Put("s" + std::to_string(i), "new");
+    map.Put(std::string("s").append(std::to_string(i)), "new");
   }
   map.Remove("s0");
   EXPECT_EQ(snap.Get("s0").value_or(""), "old");
@@ -344,7 +344,8 @@ TEST(KiWiByteMap, ConcurrentPutsAndScansStayConsistent) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&map, w] {
       for (int i = 0; i < kKeysPerWriter; ++i) {
-        map.Put("w" + std::to_string(w) + ":" + std::to_string(i),
+        map.Put(std::string("w").append(std::to_string(w)) + ":" +
+                    std::to_string(i),
                 "payload-" + std::to_string(w * kKeysPerWriter + i));
       }
     });

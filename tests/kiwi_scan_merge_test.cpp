@@ -49,7 +49,9 @@ struct ByteKeys {
     }
     return out;
   }
-  static std::string ValueOf(int value) { return "v" + std::to_string(value); }
+  static std::string ValueOf(int value) {
+    return std::string("v").append(std::to_string(value));
+  }
   static int ModelKey(std::string_view key) {
     std::uint64_t out = 0;
     for (const char c : key.substr(8)) {

@@ -63,7 +63,7 @@ class KiWiTestPeer {
     // recovery path (or the chunk's destructor) releases it.
     chunk->ro.store(ro, std::memory_order_release);
     chunk->status.store(Chunk::Status::kFrozen, std::memory_order_release);
-    chunk->FreezePpa();
+    chunk->ppa.Freeze();
   }
 
  private:
@@ -174,7 +174,7 @@ TEST(KiWiWhitebox, ScanThroughFrozenOrphan) {
   for (Key k = 0; k < 50; ++k) EXPECT_EQ(out[k].second, k);
 }
 
-// FreezePpa freezes only unversioned slots, so a freeze that lands while a
+// A freeze changes only unversioned slots, so one that lands while a
 // per-op batch run's entry holds a version skips that thread's slot.  Once
 // the entry releases the slot, the run's next publish from idle succeeds;
 // unless the run re-reads the chunk status first, that entry links into a
@@ -187,16 +187,23 @@ TEST(KiWiWhitebox, PerOpRunStopsAtFreezeThatSkippedItsSlot) {
   for (Key k = 0; k < 10; ++k) map.Put(k, k);
   KiWiTestPeer peer(map);
   Chunk* chunk = peer.Locate(100);
-  std::atomic<std::uint64_t>& slot = chunk->ppa[ThreadRegistry::CurrentSlot()];
+  const std::size_t slot = ThreadRegistry::CurrentSlot();
+  const auto versioned = [chunk] {
+    std::size_t n = 0;
+    chunk->ppa.ForEachVersioned(kMaxThreads, kMaxReadVersion,
+                                [&n](std::uint32_t, Version) { ++n; });
+    return n;
+  };
 
   // The run's previous entry holds a version when the chunk freezes...
-  const std::uint64_t versioned = Chunk::PackPpa(1, 1);
-  slot.store(versioned);
+  bool helped = true;
+  ASSERT_TRUE(chunk->ppa.Publish(slot, 1));
+  ASSERT_EQ(chunk->ppa.TakeVersion(slot, 1, 1, &helped), 1u);
   chunk->status.store(Chunk::Status::kFrozen);
-  chunk->FreezePpa();
-  ASSERT_EQ(slot.load(), versioned) << "the freeze must skip a versioned slot";
+  chunk->ppa.Freeze();
+  ASSERT_EQ(versioned(), 1u) << "the freeze must skip a versioned slot";
   // ...then links and releases the slot.
-  slot.store(Chunk::kPpaIdle);
+  chunk->ppa.Clear(slot);
 
   // The next entries must notice the freeze: nothing installed or linked.
   const std::vector<Chunk::Item> run{{100, kNoVersion, 0, 1000},
@@ -239,6 +246,44 @@ TEST(KiWiWhitebox, ShortClaimInstallsNothingAndCountsOneOverflow) {
   EXPECT_EQ(map.Get(100).value_or(-1), 1000);
   for (Key k = 0; k < 10; ++k) ASSERT_EQ(map.Get(k).value_or(-1), k) << k;
   map.CheckInvariants();
+}
+
+// A chunk covers [minKey, succ.minKey): LocateChunk and PutBatch's run
+// split both send the successor's min key to the successor, so a cell
+// holding that key in the chunk before it breaks the structure.
+TEST(KiWiWhiteboxDeathTest, CellAtSuccessorMinKeyFailsInvariants) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KiWiConfig config;
+  config.chunk_capacity = 64;
+  KiWiMap map(config);
+  for (Key k = 0; k < 500; ++k) map.Put(k, k);
+  map.CheckInvariants();
+  KiWiTestPeer peer(map);
+  Chunk* chunk = peer.Sentinel()->Next();
+  while (chunk->Next() != nullptr &&
+         chunk->AllocatedCells() == chunk->capacity) {
+    chunk = chunk->Next();
+  }
+  const Chunk* succ = chunk->Next();
+  ASSERT_NE(succ, nullptr) << "test needs a chunk with room and a successor";
+
+  // Claim, fill and link one cell at its place, as a put would.
+  const std::uint32_t i = chunk->k_counter.fetch_add(1);
+  const std::uint32_t j = chunk->v_counter.fetch_add(1);
+  ASSERT_LE(i, chunk->capacity);
+  ASSERT_LT(j, chunk->capacity);
+  chunk->k[i].key = succ->min_key;
+  chunk->k[i].version = 1;
+  chunk->v[j] = 7;
+  chunk->k[i].val_ptr.store(static_cast<std::int32_t>(j));
+  std::int32_t pred = Chunk::kNullIdx;
+  std::int32_t next = Chunk::kNullIdx;
+  ASSERT_EQ(chunk->FindCellFrom(Chunk::kNullIdx, succ->min_key, 1, &pred,
+                                &next),
+            Chunk::kNullIdx);
+  chunk->k[i].next.store(next);
+  chunk->k[pred].next.store(static_cast<std::int32_t>(i));
+  EXPECT_DEATH(map.CheckInvariants(), "cell above chunk range");
 }
 
 TEST(KiWiWhitebox, ReclamationKeepsFrozenChunksForReaders) {
